@@ -9,6 +9,7 @@ inspected and never claims anything about levels that were not supplied.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -232,19 +233,34 @@ class SimplicityVerdict:
 
 
 def simplicity_window(diagram: LabeledBratteliDiagram) -> SimplicityVerdict:
-    """Check full-connectivity windows for every vertex within depth."""
+    """Check full-connectivity windows for every vertex within depth.
+
+    Only whether a path exists matters, so reachability is carried as one
+    bitmask of deeper-level vertices per vertex; a level is done as soon as
+    each of its vertices has reached a whole level.
+    """
     T = diagram.depth
+    # succ[k][j]: bitmask of the level-(k+1) vertices with an edge from (k, j)
+    succ = [
+        [sum(1 << i for i in range(e.rows) if e.entries[i][j]) for j in range(e.cols)]
+        for e in diagram.edges
+    ]
     for n in range(T):
-        reach = PosMatrix.identity(len(diagram.levels[n]))
-        ok = [False] * len(diagram.levels[n])
+        reach = [1 << j for j in range(len(diagram.levels[n]))]
+        pending = list(range(len(reach)))  # ascending: no whole level reached yet
         for m in range(n + 1, T + 1):
-            reach = compose(diagram.edges[m - 1], reach)
-            for j in range(len(diagram.levels[n])):
-                if not ok[j] and all(reach.entries[i][j] > 0 for i in range(reach.rows)):
-                    ok[j] = True
-        for j, good in enumerate(ok):
-            if not good:
-                return SimplicityVerdict(witnessed=False, depth=T, blocked=(n, j))
+            step, full = succ[m - 1], (1 << len(diagram.levels[m])) - 1
+            for j in pending:
+                r = 0
+                for k, targets in enumerate(step):
+                    if reach[j] >> k & 1:
+                        r |= targets
+                reach[j] = r
+            pending = [j for j in pending if reach[j] != full]
+            if not pending:
+                break
+        if pending:
+            return SimplicityVerdict(witnessed=False, depth=T, blocked=(n, pending[0]))
     return SimplicityVerdict(witnessed=True, depth=T)
 
 
@@ -422,26 +438,64 @@ def replay_equivalence(
     return left == right
 
 
-def _label_bijections(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple]:
-    """Label-preserving bijections pi with b[pi[j]] == a[j], lexicographically ascending."""
+class _OutOfBudget(Exception):
+    """The node budget of a search ran out."""
+
+
+def _bijections(a: Sequence[int], b: Sequence[int], row_ok, charge) -> Iterator[tuple]:
+    """Label-preserving bijections pi (b[pi[j]] == a[j]) passing row_ok(j, pi[j]) at every j.
+
+    They come out lexicographically ascending, and every label-preserving
+    bijection in that order costs one budget node through charge, including
+    those a failing row cuts off: a prefix failing at position j stands for
+    the prod over labels of (count left after j)! bijections extending it,
+    all charged at once. So the budget runs out at the same bijection as when
+    each one is enumerated and tested in turn. The label multisets of a and b
+    must agree.
+    """
     n = len(a)
-    if n != len(b) or sorted(a) != sorted(b):
-        return
+    skip = [1] * n  # skip[j]: label-preserving completions of a prefix of length j + 1
+    left: dict = {}
+    for j in range(n - 1, 0, -1):
+        left[a[j]] = left.get(a[j], 0) + 1
+        skip[j - 1] = skip[j] * left[a[j]]
     used = [False] * n
     pi = [0] * n
-
-    def rec(j: int) -> Iterator[tuple]:
-        if j == n:
+    nxt = [0] * n  # nxt[j]: the first index still to try at position j
+    j = 0
+    while j >= 0:
+        i = nxt[j]
+        while i < n and (used[i] or b[i] != a[j]):
+            i += 1
+        if i == n:
+            nxt[j] = 0
+            j -= 1
+            if j >= 0:
+                used[pi[j]] = False
+            continue
+        nxt[j] = i + 1
+        pi[j] = i
+        if not row_ok(j, i):
+            charge(skip[j])
+        elif j == n - 1:
+            charge(1)
             yield tuple(pi)
-            return
-        for i in range(n):
-            if not used[i] and b[i] == a[j]:
-                used[i] = True
-                pi[j] = i
-                yield from rec(j + 1)
-                used[i] = False
+        else:
+            used[i] = True
+            j += 1
 
-    yield from rec(0)
+
+def _path_matrix_from(diagram: LabeledBratteliDiagram, cache: dict, a: int, b: int) -> PosMatrix:
+    """P(a, b) of the diagram, each product one gap beyond the last cached P(a, .)."""
+    top = b
+    while top > a + 1 and (a, top) not in cache:
+        top -= 1
+    got = cache.get((a, top))
+    if got is None:
+        got = cache[(a, top)] = diagram.edges[a]
+    for k in range(top + 1, b + 1):
+        got = cache[(a, k)] = compose(diagram.edges[k - 1], got)
+    return got
 
 
 def equivalence_search(
@@ -459,6 +513,10 @@ def equivalence_search(
     replay equates the diagrams exactly. Exhausting the node budget, or the
     stage supply, returns None, which means unknown; it never asserts
     inequivalence.
+
+    Candidates are (n2, m2, pi2) in ascending order, depth first. Every level
+    pair and every label-preserving bijection tried costs one node; pairs
+    whose label multisets differ have no bijection and build no path matrix.
     """
     for d in (d1, d2):
         if not d.unital:
@@ -470,67 +528,74 @@ def equivalence_search(
         return EquivalenceWitness(())
 
     T1, T2 = d1.depth, d2.depth
-    if sorted(d1.levels[0]) != sorted(d2.levels[0]):
+    keys1 = [tuple(sorted(level)) for level in d1.levels]
+    keys2 = [tuple(sorted(level)) for level in d2.levels]
+    if keys1[0] != keys2[0] or keys1[T1] != keys2[T2]:
         return None
-    if sorted(d1.levels[T1]) != sorted(d2.levels[T2]):
-        return None
+    levels_with: dict = {}  # label multiset -> ascending levels of d2 carrying it
+    for m2 in range(1, T2 + 1):
+        levels_with.setdefault(keys2[m2], []).append(m2)
 
     pm1: dict = {}
     pm2: dict = {}
-
-    def pmat(diagram, cache, a, b):
-        got = cache.get((a, b))
-        if got is None:
-            got = path_matrix(diagram, a, b)
-            cache[(a, b)] = got
-        return got
-
     budget_left = [budget]
-    dead: set = set()
 
-    def dfs(n: int, m: int, pi: tuple, chain: list):
-        if n == T1 and m == T2:
-            return list(chain)
-        key = (n, m, pi)
-        if key in dead:
-            return None
+    def charge(nodes: int) -> None:
+        if budget_left[0] < nodes:
+            raise _OutOfBudget
+        budget_left[0] -= nodes
+
+    def children(n: int, m: int, pi: tuple) -> Iterator[tuple]:
         for n2 in range(n + 1, T1 + 1):
-            for m2 in range(m + 1, T2 + 1):
-                if budget_left[0] <= 0:
-                    return None
-                budget_left[0] -= 1
-                p1 = pmat(d1, pm1, n, n2)
-                p2 = pmat(d2, pm2, m, m2)
-                for pi2 in _label_bijections(d1.levels[n2], d2.levels[m2]):
-                    if budget_left[0] <= 0:
-                        return None
-                    budget_left[0] -= 1
-                    if all(
-                        p2.entries[pi2[r]][pi[c]] == p1.entries[r][c]
-                        for r in range(p1.rows)
-                        for c in range(p1.cols)
-                    ):
-                        got = dfs(n2, m2, pi2, chain + [(n2, m2, pi2)])
-                        if got is not None:
-                            return got
-        dead.add(key)
-        return None
+            done = m  # level pairs (n2, m+1..done) are paid for
+            matches = levels_with.get(keys1[n2], ())
+            for m2 in matches[bisect_right(matches, m) :]:
+                charge(m2 - done)
+                done = m2
+                p1 = _path_matrix_from(d1, pm1, n, n2).entries
+                p2 = _path_matrix_from(d2, pm2, m, m2).entries
+                rows2 = [tuple(row[c] for c in pi) for row in p2]
+                for pi2 in _bijections(
+                    d1.levels[n2], d2.levels[m2], lambda r, i: rows2[i] == p1[r], charge
+                ):
+                    yield n2, m2, pi2
+            charge(T2 - done)
 
-    for pi0 in _label_bijections(d1.levels[0], d2.levels[0]):
-        if budget_left[0] <= 0:
-            return None
-        budget_left[0] -= 1
-        chain = dfs(0, 0, pi0, [(0, 0, pi0)])
-        if chain is not None:
-            nspec = tuple(n for n, _, _ in chain)
-            mspec = tuple(m for _, m, _ in chain)
-            perms = tuple(p for _, _, p in chain)
-            steps = []
-            if nspec != tuple(range(T1 + 1)):
-                steps.append(WitnessStep("left", "telescope", stages=nspec))
-            if mspec != tuple(range(T2 + 1)):
-                steps.append(WitnessStep("right", "telescope", stages=mspec))
-            if any(p != tuple(range(len(p))) for p in perms):
-                steps.append(WitnessStep("left", "iso", maps=perms))
-            return EquivalenceWitness(tuple(steps))
-    return None
+    # frames[k] yields the matched children of chain[k]; a (n, m, pi) whose
+    # children are all explored without reaching (T1, T2) goes to dead.
+    dead: set = set()
+    chain: list = []
+    try:
+        for pi0 in _bijections(d1.levels[0], d2.levels[0], lambda r, i: True, charge):
+            chain = [(0, 0, pi0)]
+            frames = [] if T1 == T2 == 0 else [children(0, 0, pi0)]
+            while frames:
+                step = next(frames[-1], None)
+                if step is None:
+                    frames.pop()
+                    dead.add(chain.pop())
+                    continue
+                n2, m2, _ = step
+                if n2 == T1 and m2 == T2:
+                    chain.append(step)
+                    break
+                if step not in dead:
+                    chain.append(step)
+                    frames.append(children(*step))
+            if chain:
+                break
+    except _OutOfBudget:
+        return None
+    if not chain:
+        return None
+    nspec = tuple(n for n, _, _ in chain)
+    mspec = tuple(m for _, m, _ in chain)
+    perms = tuple(p for _, _, p in chain)
+    steps = []
+    if nspec != tuple(range(T1 + 1)):
+        steps.append(WitnessStep("left", "telescope", stages=nspec))
+    if mspec != tuple(range(T2 + 1)):
+        steps.append(WitnessStep("right", "telescope", stages=mspec))
+    if any(p != tuple(range(len(p))) for p in perms):
+        steps.append(WitnessStep("left", "iso", maps=perms))
+    return EquivalenceWitness(tuple(steps))

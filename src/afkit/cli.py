@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from . import bratteli, dimgroup, elliott, findim, jsonio, perturb
+from . import bratteli, dimgroup, elliott, findim, jsonio
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -274,6 +274,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_moduli(args) -> int:
+    from . import perturb  # numpy loads only for the two numeric commands
+
     eps = jsonio.rational_from_str(args.eps)
     n, k = args.n, args.k
     if not 0 < eps < 1:
@@ -297,6 +299,8 @@ def cmd_moduli(args) -> int:
 
 
 def cmd_perturb_demo(args) -> int:
+    from . import perturb
+
     sizes = _parse_ints(args.sizes, "--sizes")
     d = args.d if args.d is not None else max(2 * args.n, 4)
     report = {

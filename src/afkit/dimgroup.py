@@ -161,23 +161,31 @@ def eq_at_depth(cert: DimCertificate, a: LimitElement, b: LimitElement) -> Verdi
     """Yes with the least common stage where the pushes agree; else unknown.
 
     Never answers no: disagreement at every stage up to depth does not rule
-    out a merging stage beyond it.
+    out a merging stage beyond it. Both elements are pushed to their common
+    start stage once and then one bond per stage.
     """
     _check_element(cert, a)
     _check_element(cert, b)
     start = max(a.stage, b.stage)
+    va, vb = push(cert, a, start), push(cert, b, start)
     for t in range(start, cert.depth + 1):
-        if push(cert, a, t) == push(cert, b, t):
+        if va == vb:
             return Verdict3("yes", t)
+        if t < cert.depth:
+            bond = cert.bonds[t].entries
+            va, vb = mat_vec(bond, va), mat_vec(bond, vb)
     return Verdict3("unknown", cert.depth)
 
 
 def positive_at_depth(cert: DimCertificate, a: LimitElement) -> Verdict3:
     """Yes with the least stage where the push lands in the coordinate cone."""
     _check_element(cert, a)
+    v = a.vector
     for t in range(a.stage, cert.depth + 1):
-        if all(x >= 0 for x in push(cert, a, t)):
+        if all(x >= 0 for x in v):
             return Verdict3("yes", t)
+        if t < cert.depth:
+            v = mat_vec(cert.bonds[t].entries, v)
     return Verdict3("unknown", cert.depth)
 
 

@@ -26,7 +26,7 @@ class SeedNotFound(ValueError):
 class StageSearchExhausted(RuntimeError):
     """Search budget or stage supply ran out before the requested depth."""
 
-    def __init__(self, message: str, partial: "ZigzagWitness"):
+    def __init__(self, message: str, partial: Optional["ZigzagWitness"]):
         super().__init__(message)
         self.partial = partial
 
@@ -197,9 +197,12 @@ def intertwine_stage(
             raise ValueError(f"nu_r = mu . gamma not witnessed at depth on basis vector {j + 1}")
 
     start = max(mu.stage, min_stage if min_stage is not None else mu.stage)
-    lifted = None
+    lifted = pushed = None
     for t in range(start, cert.depth + 1):
-        pushed = mat_mul(cert.bond_product(mu.stage, t).entries, mu.matrix)
+        if pushed is None:
+            pushed = mat_mul(cert.bond_product(mu.stage, t).entries, mu.matrix)
+        else:
+            pushed = mat_mul(cert.bonds[t - 1].entries, pushed)
         if all(x >= 0 for row in pushed for x in row):
             lifted = (t, pushed)
             break
@@ -228,7 +231,7 @@ def build_zigzag(
     seed: Optional[tuple] = None,
     budget: int = 100_000,
     require_full: bool = False,
-) -> ZigzagWitness:
+) -> Optional[ZigzagWitness]:
     """Search for an intertwining witness with the requested number of rounds.
 
     Both certificates must be unital. The witness starts at stage 0 of tower A
@@ -236,9 +239,10 @@ def build_zigzag(
     for. Candidates are explored in ascending lexicographic order (stage, then
     row-major entries), so the result is the least witness under that order.
     When the stage supply or the node budget runs out before the requested
-    depth, the deepest partial witness found is returned (or, with
-    require_full, StageSearchExhausted carrying it is raised); raises
-    SeedNotFound when not even alpha_0 exists.
+    depth, the deepest partial witness found is returned (None when the budget
+    ran out before any seed was tried), or, with require_full,
+    StageSearchExhausted carrying it is raised; raises SeedNotFound when not
+    even alpha_0 exists.
     """
     if not (certA.unital and certB.unital):
         raise ValueError("build_zigzag needs unital certificates")
@@ -246,12 +250,6 @@ def build_zigzag(
         raise ValueError("depth must be >= 0")
 
     budget_box = _Budget(budget)
-    best: list = [None]
-
-    def record(ns, ms, alphas, betas):
-        w = ZigzagWitness(tuple(ns), tuple(ms), tuple(alphas), tuple(betas))
-        if best[0] is None or w.depth > best[0].depth:
-            best[0] = w
 
     def seed_candidates() -> Iterator[tuple]:
         if seed is not None:
@@ -267,47 +265,66 @@ def build_zigzag(
         u0 = certA.unit(0)
         for m0 in range(certB.depth + 1):
             for alpha0 in _matrix_solutions(None, None, u0, certB.unit(m0)):
-                if not budget_box.spend():
-                    return
                 yield m0, alpha0
 
-    def extend(ns, ms, alphas, betas) -> Optional[ZigzagWitness]:
-        record(ns, ms, alphas, betas)
-        if len(betas) == depth:
-            return ZigzagWitness(tuple(ns), tuple(ms), tuple(alphas), tuple(betas))
-        n_cur, m_cur = ns[-1], ms[-1]
+    def candidates(n_cur: int, m_cur: int, alpha_cur: PosMatrix) -> Iterator[tuple]:
+        """Next rounds (n, m, alpha, beta) in search order, each alpha and beta paid for.
+
+        Stops early once the budget is spent.
+        """
+        f = PosMatrix.identity(certA.rank(n_cur))
         for n_next in range(n_cur + 1, certA.depth + 1):
-            f = certA.bond_product(n_cur, n_next)
-            for beta in _matrix_solutions(alphas[-1], f, certB.unit(m_cur), certA.unit(n_next)):
+            f = compose(certA.bonds[n_next - 1], f)
+            for beta in _matrix_solutions(alpha_cur, f, certB.unit(m_cur), certA.unit(n_next)):
                 if not budget_box.spend():
-                    return None
+                    return
+                g = PosMatrix.identity(certB.rank(m_cur))
                 for m_next in range(m_cur + 1, certB.depth + 1):
-                    g = certB.bond_product(m_cur, m_next)
+                    g = compose(certB.bonds[m_next - 1], g)
                     for alpha in _matrix_solutions(beta, g, certA.unit(n_next), certB.unit(m_next)):
                         if not budget_box.spend():
-                            return None
-                        got = extend(ns + [n_next], ms + [m_next], alphas + [alpha], betas + [beta])
-                        if got is not None:
-                            return got
+                            return
+                        yield n_next, m_next, alpha, beta
                     if budget_box.left <= 0:
-                        return None
-        return None
+                        return
 
-    seeded = False
+    best: Optional[ZigzagWitness] = None
+    seed_exists = False
     for m0, alpha0 in seed_candidates():
-        seeded = True
-        got = extend([0], [m0], [alpha0], [])
-        if got is not None:
-            return got
+        seed_exists = True
+        if seed is None and not budget_box.spend():
+            break
+        # One path of the search tree (n_stages, m_stages, alphas, betas),
+        # extended and cut back in place; frames[k] yields round k + 1.
+        path = ([0], [m0], [alpha0], [])
+        frames = [candidates(0, m0, alpha0)]
+        while True:
+            if best is None or len(path[3]) > best.depth:
+                best = ZigzagWitness(*path)
+            if len(path[3]) == depth:
+                return ZigzagWitness(*path)
+            step = next(frames[-1], None)
+            while step is None and budget_box.left > 0 and len(frames) > 1:
+                frames.pop()
+                for part in path:
+                    part.pop()
+                step = next(frames[-1], None)
+            if step is None:
+                break
+            for part, x in zip(path, step):
+                part.append(x)
+            frames.append(candidates(*step[:3]))
         if budget_box.left <= 0:
             break
-    if not seeded:
+    if not seed_exists:
         raise SeedNotFound("no positive unit-preserving seed map exists within the stage supply")
     if require_full:
-        raise StageSearchExhausted(
-            f"search stopped at depth {best[0].depth} of the requested {depth}", best[0]
-        )
-    return best[0]
+        if best is None:
+            message = f"budget ran out before any seed was tried (requested depth {depth})"
+        else:
+            message = f"search stopped at depth {best.depth} of the requested {depth}"
+        raise StageSearchExhausted(message, best)
+    return best
 
 
 def zigzag_violation(

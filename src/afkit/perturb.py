@@ -79,10 +79,11 @@ def _least_power_below(value: Fraction) -> int:
     """Least N >= 0 with 2^-N < value."""
     if value <= 0:
         raise ValueError("value must be positive")
-    n = 0
-    while Fraction(1, 2**n) >= value:
-        n += 1
-    return n
+    # With p/q = value, the least n >= 0 with p * 2^n > q is q.bit_length() -
+    # p.bit_length() or one more, and 0 when p > q.
+    p, q = value.numerator, value.denominator
+    n = max(q.bit_length() - p.bit_length(), 0)
+    return n if p << n > q else n + 1
 
 
 def Delta1(n: int, k: int) -> int:
@@ -141,7 +142,9 @@ def DeltaGlimm(n: int, k: int) -> int:
     if k < 0:
         raise ValueError("k must be >= 0")
     k0 = (n * 2 ** (k + 1) - 1).bit_length()
-    return max(Delta4(n, Delta2(sum(parts), k0)) for parts in square_partitions(n))
+    # Partitions with the same sum give the same Delta4; evaluate each sum once.
+    sums = {sum(parts) for parts in square_partitions(n)}
+    return max(Delta4(n, Delta2(s, k0)) for s in sums)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,133 @@
+"""Slow reference versions of the depth-walking searches and queries.
+
+Each one is the direct, unoptimized form of a library routine: every
+label-preserving bijection enumerated and tested in turn, every stage pushed
+from the element's own stage, exact path-count products for reachability.
+Tests compare the library against them output for output, so a faster
+library may change how it works but never what it returns.
+"""
+
+from __future__ import annotations
+
+from afkit.bratteli import (
+    EquivalenceWitness,
+    SimplicityVerdict,
+    WitnessStep,
+    path_matrix,
+)
+from afkit.dimgroup import Verdict3, push
+from afkit.ordgrp import PosMatrix, compose
+
+
+def label_bijections(a, b):
+    """Label-preserving bijections pi with b[pi[j]] == a[j], lexicographically ascending."""
+    n = len(a)
+    if n != len(b) or sorted(a) != sorted(b):
+        return
+    used = [False] * n
+    pi = [0] * n
+
+    def rec(j):
+        if j == n:
+            yield tuple(pi)
+            return
+        for i in range(n):
+            if not used[i] and b[i] == a[j]:
+                used[i] = True
+                pi[j] = i
+                yield from rec(j + 1)
+                used[i] = False
+
+    yield from rec(0)
+
+
+def equivalence_search(d1, d2, budget=100_000):
+    """Equivalence search spending one node per level pair and per bijection tried.
+
+    Returns (witness or None, nodes spent). Assumes consistent unital inputs.
+    """
+    if d1 == d2:
+        return EquivalenceWitness(()), 0
+    T1, T2 = d1.depth, d2.depth
+    if sorted(d1.levels[0]) != sorted(d2.levels[0]) or sorted(d1.levels[T1]) != sorted(d2.levels[T2]):
+        return None, 0
+    left = [budget]
+    dead = set()
+
+    def dfs(n, m, pi, chain):
+        if n == T1 and m == T2:
+            return list(chain)
+        if (n, m, pi) in dead:
+            return None
+        for n2 in range(n + 1, T1 + 1):
+            for m2 in range(m + 1, T2 + 1):
+                if left[0] <= 0:
+                    return None
+                left[0] -= 1
+                p1 = path_matrix(d1, n, n2)
+                p2 = path_matrix(d2, m, m2)
+                for pi2 in label_bijections(d1.levels[n2], d2.levels[m2]):
+                    if left[0] <= 0:
+                        return None
+                    left[0] -= 1
+                    if all(
+                        p2.entries[pi2[r]][pi[c]] == p1.entries[r][c]
+                        for r in range(p1.rows)
+                        for c in range(p1.cols)
+                    ):
+                        got = dfs(n2, m2, pi2, chain + [(n2, m2, pi2)])
+                        if got is not None:
+                            return got
+        dead.add((n, m, pi))
+        return None
+
+    for pi0 in label_bijections(d1.levels[0], d2.levels[0]):
+        if left[0] <= 0:
+            return None, budget - left[0]
+        left[0] -= 1
+        chain = dfs(0, 0, pi0, [(0, 0, pi0)])
+        if chain is not None:
+            nspec = tuple(n for n, _, _ in chain)
+            mspec = tuple(m for _, m, _ in chain)
+            perms = tuple(p for _, _, p in chain)
+            steps = []
+            if nspec != tuple(range(T1 + 1)):
+                steps.append(WitnessStep("left", "telescope", stages=nspec))
+            if mspec != tuple(range(T2 + 1)):
+                steps.append(WitnessStep("right", "telescope", stages=mspec))
+            if any(p != tuple(range(len(p))) for p in perms):
+                steps.append(WitnessStep("left", "iso", maps=perms))
+            return EquivalenceWitness(tuple(steps)), budget - left[0]
+    return None, budget - left[0]
+
+
+def eq_at_depth(cert, a, b):
+    """Least stage where both elements, each pushed from its own stage, agree."""
+    for t in range(max(a.stage, b.stage), cert.depth + 1):
+        if push(cert, a, t) == push(cert, b, t):
+            return Verdict3("yes", t)
+    return Verdict3("unknown", cert.depth)
+
+
+def positive_at_depth(cert, a):
+    """Least stage where the element, pushed from its own stage, is nonnegative."""
+    for t in range(a.stage, cert.depth + 1):
+        if all(x >= 0 for x in push(cert, a, t)):
+            return Verdict3("yes", t)
+    return Verdict3("unknown", cert.depth)
+
+
+def simplicity_window(diagram):
+    """Connectivity windows from exact path-count products over every deeper level."""
+    T = diagram.depth
+    for n in range(T):
+        reach = PosMatrix.identity(len(diagram.levels[n]))
+        ok = [False] * len(diagram.levels[n])
+        for m in range(n + 1, T + 1):
+            reach = compose(diagram.edges[m - 1], reach)
+            for j in range(len(ok)):
+                if all(reach.entries[i][j] > 0 for i in range(reach.rows)):
+                    ok[j] = True
+        if not all(ok):
+            return SimplicityVerdict(witnessed=False, depth=T, blocked=(n, ok.index(False)))
+    return SimplicityVerdict(witnessed=True, depth=T)

@@ -351,6 +351,14 @@ class TestEquivalence:
         t = telescope(d, (0, 2, 4, 6))
         assert equivalence_search(d, t, budget=1) is None
 
+    def test_deep_pair_without_recursion(self):
+        # 1200 matched levels deep, and about 720k of the 1M nodes spent
+        d = gen_car(2400)
+        t = telescope(d, range(0, 2401, 2))
+        w = equivalence_search(d, t, budget=1_000_000)
+        assert w is not None
+        assert replay_equivalence(w, d, t)
+
     def test_requires_unital(self):
         d = random_diagram(random.Random(32))
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
+import afkit
 from afkit import bratteli, dimgroup, jsonio, perturb
 from afkit.cli import main
 from afkit.findim import car_sequence
@@ -267,6 +271,24 @@ class TestSearchCommands:
         assert code == 2
         payload = json.loads(out)
         assert payload["achieved"] == 0
+
+    def test_zigzag_zero_budget_is_unknown(self, capsys, tmp_path):
+        car = write(
+            tmp_path,
+            "car.json",
+            jsonio.certificate_to_obj(dimgroup.certificate_of_af(car_sequence(4))),
+        )
+        code, out = run(capsys, ["zigzag", car, car, "--depth", "2", "--budget", "0"])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["status"] == "unknown" and payload["achieved"] is None
+
+
+def test_import_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(afkit.__file__)))
+    code = "import sys, afkit.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
 
 
 class TestModuliCommand:

@@ -128,8 +128,25 @@ class TestBuildZigzag:
             unital=True,
         )
         right = uhf_certificate(3, 2)
-        with pytest.raises(SeedNotFound):
-            build_zigzag(left, right, depth=1)
+        for budget in (0, 100_000):
+            with pytest.raises(SeedNotFound):
+                build_zigzag(left, right, depth=1, budget=budget)
+
+    def test_zero_budget_is_unknown_not_seed_not_found(self):
+        from afkit.elliott import StageSearchExhausted
+
+        car = certificate_of_af(car_sequence(6))
+        assert build_zigzag(car, car, depth=2, budget=0) is None
+        with pytest.raises(StageSearchExhausted) as err:
+            build_zigzag(car, car, depth=2, budget=0, require_full=True)
+        assert err.value.partial is None
+        assert "before any seed was tried" in str(err.value)
+
+    def test_1200_rounds_without_recursion(self):
+        car = certificate_of_af(car_sequence(1200))
+        w = build_zigzag(car, car, depth=1200)
+        assert w.depth == 1200
+        assert verify_zigzag(w, car, car)
 
     def test_needs_unital(self):
         bare = DimCertificate((SimplicialGroup(1), SimplicialGroup(1)), (PosMatrix(((2,),)),))

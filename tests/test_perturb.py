@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afkit.findim import AlgebraHom, FinDimAlgebra
 from afkit.ordgrp import PosMatrix
@@ -14,6 +16,7 @@ from afkit.perturb import (
     DeltaGlimm,
     MultiplicityMismatch,
     PerturbationPreconditionError,
+    _least_power_below,
     canonical_matrix_units,
     conjugate_system,
     defect,
@@ -120,6 +123,26 @@ class TestModuli:
         assert set(square_partitions(9)) == {(1,) * 9, (1, 1, 1, 1, 1, 2), (1, 2, 2), (3,)}
         for parts in square_partitions(13):
             assert sum(p * p for p in parts) == 13
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**80), st.integers(1, 2**80))
+    def test_least_power_below_matches_the_loop(self, p, q):
+        def by_loop(value):
+            n = 0
+            while Fraction(1, 2**n) >= value:
+                n += 1
+            return n
+
+        value = Fraction(p, q)
+        assert _least_power_below(value) == by_loop(value)
+
+    def test_least_power_below_at_exact_powers_of_two(self):
+        for N in range(70):
+            assert _least_power_below(Fraction(1, 2**N)) == N + 1
+            assert _least_power_below(Fraction(2 ** (N + 1))) == 0
+
+    def test_DeltaGlimm_25_8(self):
+        assert DeltaGlimm(25, 8) == 733
 
     def test_DeltaGlimm_uses_worst_partition(self):
         n, k = 4, 3

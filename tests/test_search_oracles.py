@@ -1,0 +1,163 @@
+"""The fast searches and queries against their slow reference versions.
+
+Outputs must match exactly: the same witness or None at every budget, the
+same verdict and stage, the same blocked vertex.
+"""
+
+import hashlib
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from afkit import bratteli, dimgroup, elliott, jsonio
+from afkit.bratteli import LabeledBratteliDiagram, apply_iso, equivalence_search, telescope
+from afkit.dimgroup import DimCertificate, LimitElement, certificate_of_af
+from afkit.findim import car_sequence
+from afkit.ordgrp import PosMatrix, SimplicialGroup
+
+from helpers import random_diagram, random_pos_matrix, uhf_certificate
+
+
+def random_unital_diagram(rnd: random.Random, depth: int, max_width: int = 4) -> LabeledBratteliDiagram:
+    """Unital diagram with small labels, so that levels repeat labels often."""
+    levels = [tuple(1 for _ in range(rnd.randint(1, max_width)))]
+    edges = []
+    for _ in range(depth):
+        prev = levels[-1]
+        rows = []
+        for _ in range(rnd.randint(1, max_width)):
+            row = [rnd.randint(0, 2) for _ in prev]
+            if not any(row):
+                row[rnd.randrange(len(row))] = 1
+            rows.append(tuple(row))
+        edges.append(PosMatrix(tuple(rows)))
+        levels.append(tuple(sum(e * x for e, x in zip(row, prev)) for row in rows))
+    return LabeledBratteliDiagram(tuple(levels), tuple(edges), unital=True)
+
+
+def relabel(rnd: random.Random, d: LabeledBratteliDiagram) -> LabeledBratteliDiagram:
+    perms = []
+    for level in d.levels:
+        perm = list(range(len(level)))
+        rnd.shuffle(perm)
+        perms.append(perm)
+    return apply_iso(d, perms)
+
+
+def random_pair(seed: int) -> tuple:
+    """A diagram against a relabelled (possibly telescoped) copy, or against a stranger."""
+    rnd = random.Random(seed)
+    d = random_unital_diagram(rnd, rnd.randint(1, 5))
+    kind = rnd.randrange(4)
+    if kind == 3:
+        return d, random_unital_diagram(rnd, rnd.randint(1, 5))
+    inner = sorted(rnd.sample(range(1, d.depth), rnd.randint(0, d.depth - 1)))
+    other = relabel(rnd, telescope(d, [0] + inner + [d.depth]) if kind else d)
+    return (other, d) if kind == 2 else (d, other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.integers(1, 5000), min_size=4, max_size=4))
+def test_equivalence_search_matches_reference_at_every_budget(seed, extra):
+    d1, d2 = random_pair(seed)
+    _, spent = reference.equivalence_search(d1, d2, budget=5000)
+    # Around the exact number of nodes the reference spent, where a budget
+    # accounting error would show, plus spread-out budgets.
+    for budget in {1, max(spent - 1, 1), max(spent, 1), spent + 1, 5000, *extra}:
+        want, _ = reference.equivalence_search(d1, d2, budget=budget)
+        assert equivalence_search(d1, d2, budget=budget) == want, budget
+
+
+def test_wide_repeated_labels_match_reference_at_the_budget_boundary():
+    # Width 5 with equal labels: a failing row cuts up to 4! bijections at once.
+    rnd = random.Random(3)
+    levels = [(1,), (1,) * 5]
+    edges = [PosMatrix(((1,),) * 5)]
+    for _ in range(3):
+        rows = []
+        for _ in range(5):
+            row = [0] * 5
+            row[rnd.randrange(5)] += 1
+            row[rnd.randrange(5)] += 1
+            rows.append(tuple(row))
+        edges.append(PosMatrix(tuple(rows)))
+        levels.append((levels[-1][0] * 2,) * 5)
+    d = LabeledBratteliDiagram(tuple(levels), tuple(edges), unital=True)
+    e = relabel(rnd, d)
+    want, spent = reference.equivalence_search(d, e, budget=10**6)
+    assert want is not None and spent > 100
+    for budget in (spent - 1, spent, spent + 1, spent // 2):
+        assert equivalence_search(d, e, budget=budget) == reference.equivalence_search(d, e, budget)[0]
+    assert equivalence_search(d, e, budget=spent - 1) is None
+
+
+def random_certificate(rnd: random.Random) -> DimCertificate:
+    depth = rnd.randint(0, 8)
+    ranks = [rnd.randint(1, 3) for _ in range(depth + 1)]
+    bonds = tuple(random_pos_matrix(rnd, ranks[s + 1], ranks[s], 2) for s in range(depth))
+    return DimCertificate(tuple(SimplicialGroup(r) for r in ranks), bonds)
+
+
+def random_element(rnd: random.Random, cert: DimCertificate) -> LimitElement:
+    stage = rnd.randint(0, cert.depth)
+    return LimitElement(stage, tuple(rnd.randint(-3, 3) for _ in range(cert.rank(stage))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_queries_match_per_stage_pushes(seed):
+    rnd = random.Random(seed)
+    cert = random_certificate(rnd)
+    a, b = random_element(rnd, cert), random_element(rnd, cert)
+    assert dimgroup.eq_at_depth(cert, a, b) == reference.eq_at_depth(cert, a, b)
+    assert dimgroup.positive_at_depth(cert, a) == reference.positive_at_depth(cert, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_simplicity_window_matches_exact_products(seed):
+    rnd = random.Random(seed)
+    d = random_diagram(rnd, max_levels=7, max_vertices=3, max_entry=1)
+    assert bratteli.simplicity_window(d) == reference.simplicity_window(d)
+
+
+def _two_vertex_cert(depth: int, edge: tuple, swap: bool = False) -> DimCertificate:
+    levels = [(1, 1)]
+    for _ in range(depth):
+        prev = levels[-1]
+        levels.append(tuple(sum(e * x for e, x in zip(row, prev)) for row in edge))
+    d = LabeledBratteliDiagram(tuple(levels), tuple(PosMatrix(edge) for _ in range(depth)), unital=True)
+    if swap:
+        d = apply_iso(d, [(1, 0)] * (depth + 1))
+    return certificate_of_af(bratteli.af_sequence_of_diagram(d))
+
+
+# Partial witnesses of build_zigzag at budgets 1..40: the first ten hex digits
+# of the SHA-256 of their canonical JSON, recorded from the recursive search
+# that spent one node per candidate matrix.
+PINNED_PARTIALS = {
+    "car8-car4-d4": (
+        "1086b033fe 1086b033fe 7c10ae2862 7c10ae2862 7095ebcab5 7095ebcab5 9bf73fde05 9bf73fde05 "
+        + "879f13cac6 " * 32
+    ),
+    "fib6-swap-d6": (
+        "1090dfa7a8 1090dfa7a8 1090dfa7a8 6262d90d72 6262d90d72 30ccd3feef 30ccd3feef 99296037cd "
+        "99296037cd 8eab1c76f0 8eab1c76f0 87c365dfce 87c365dfce " + "f9e164a7f3 " * 27
+    ),
+}
+
+
+def test_partial_zigzag_witnesses_are_pinned_per_budget():
+    fib = ((1, 1), (1, 2))
+    pairs = {
+        "car8-car4-d4": (certificate_of_af(car_sequence(8)), uhf_certificate(4, 4), 4),
+        "fib6-swap-d6": (_two_vertex_cert(6, fib), _two_vertex_cert(6, fib, swap=True), 6),
+    }
+    for name, (a, b, depth) in pairs.items():
+        got = []
+        for budget in range(1, 41):
+            w = elliott.build_zigzag(a, b, depth, budget=budget)
+            got.append(hashlib.sha256(jsonio.canonical_dumps(jsonio.zigzag_to_obj(w)).encode()).hexdigest()[:10])
+        assert got == PINNED_PARTIALS[name].split(), name
