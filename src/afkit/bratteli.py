@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .dimgroup import DimCertificate
-from .findim import AFSequence, AlgebraHom, FinDimAlgebra, af_sequence_violation
-from .ordgrp import PosMatrix, compose
+from .findim import AFSequence, af_sequence_violation, sorted_af_sequence
+from .ordgrp import PosMatrix, apply, chain_product, compose, mat_vec
 
 
 class ConsistencyError(ValueError):
@@ -96,27 +96,17 @@ def path_count(diagram: LabeledBratteliDiagram, u, v) -> int:
     lv, iv = _check_vertex(diagram, v)
     if lu >= lv:
         return 0
-    counts = {(lu, iu): 1}
-    for level in range(lu, lv):
-        edge = diagram.edges[level]
-        nxt: dict = {}
-        for (_, j), c in counts.items():
-            for i in range(edge.rows):
-                w = edge.entries[i][j]
-                if w:
-                    nxt[(level + 1, i)] = nxt.get((level + 1, i), 0) + c * w
-        counts = nxt
-    return counts.get((lv, iv), 0)
+    counts = tuple(int(j == iu) for j in range(len(diagram.levels[lu])))
+    for k in range(lu, lv):
+        counts = mat_vec(diagram.edges[k].entries, counts)
+    return counts[iv]
 
 
 def path_matrix(diagram: LabeledBratteliDiagram, k: int, k2: int) -> PosMatrix:
     """Edge-matrix product over the gap [k, k2]; entry (i,j) counts paths (k,j) -> (k2,i)."""
     if not 0 <= k <= k2 <= diagram.depth:
         raise ValueError(f"levels out of range: {k} -> {k2}")
-    out = PosMatrix.identity(len(diagram.levels[k]))
-    for gap in range(k, k2):
-        out = compose(diagram.edges[gap], out)
-    return out
+    return chain_product(diagram.edges, k, k2, len(diagram.levels[k]))
 
 
 def telescope(diagram: LabeledBratteliDiagram, spec) -> LabeledBratteliDiagram:
@@ -140,8 +130,7 @@ def consistency_violation(diagram: LabeledBratteliDiagram) -> Optional[tuple]:
     the diagram is marked unital.
     """
     for k, edge in enumerate(diagram.edges):
-        for i in range(edge.rows):
-            total = sum(edge.entries[i][j] * diagram.levels[k][j] for j in range(edge.cols))
+        for i, total in enumerate(apply(edge, diagram.levels[k])):
             have = diagram.levels[k + 1][i]
             if diagram.unital and have != total:
                 return ((k + 1, i), f"label {have} != incoming mass {total}")
@@ -158,10 +147,6 @@ def diagram_of_af_sequence(seq: AFSequence) -> LabeledBratteliDiagram:
     levels = tuple(F.summands for F in seq.algebras)
     edges = tuple(h.mult for h in seq.homs)
     return LabeledBratteliDiagram(levels, edges, unital=True)
-
-
-def _sort_perm(values: Sequence[int]) -> tuple:
-    return tuple(sorted(range(len(values)), key=lambda j: (values[j], j)))
 
 
 def af_sequence_of_diagram(diagram: LabeledBratteliDiagram) -> AFSequence:
@@ -187,19 +172,7 @@ def af_sequence_of_diagram(diagram: LabeledBratteliDiagram) -> AFSequence:
         for j in range(edge.cols):
             if all(edge.entries[i][j] == 0 for i in range(edge.rows)):
                 raise ConsistencyError((k, j), "no outgoing edges")
-    algebras = [FinDimAlgebra(level) for level in diagram.levels]
-    homs = []
-    for k, edge in enumerate(diagram.edges):
-        rowperm = _sort_perm(diagram.levels[k + 1])
-        colperm = _sort_perm(diagram.levels[k])
-        mult = PosMatrix(
-            tuple(
-                tuple(edge.entries[rowperm[i]][colperm[j]] for j in range(edge.cols))
-                for i in range(edge.rows)
-            )
-        )
-        homs.append(AlgebraHom(algebras[k], algebras[k + 1], mult))
-    return AFSequence(tuple(algebras), tuple(homs))
+    return sorted_af_sequence(diagram.levels, diagram.edges)
 
 
 def diagram_of_simplicial_tower(cert: DimCertificate) -> LabeledBratteliDiagram:
@@ -209,11 +182,7 @@ def diagram_of_simplicial_tower(cert: DimCertificate) -> LabeledBratteliDiagram:
         if grp.unit is None:
             raise ValueError(f"stage {s} has no unit")
         levels.append(grp.unit)
-    unital = all(
-        tuple(sum(b.entries[i][j] * levels[s][j] for j in range(b.cols)) for i in range(b.rows))
-        == tuple(levels[s + 1])
-        for s, b in enumerate(cert.bonds)
-    )
+    unital = all(apply(b, levels[s]) == levels[s + 1] for s, b in enumerate(cert.bonds))
     return LabeledBratteliDiagram(tuple(levels), cert.bonds, unital=unital)
 
 
@@ -340,15 +309,9 @@ def gen_trace_diagram(halting, depth: int) -> LabeledBratteliDiagram:
             rows[sizes[s + 1] - 1][1] += 1
         edges.append(PosMatrix(tuple(tuple(r) for r in rows)))
 
-    labels = [(1,)]
-    for s in range(depth):
-        edge = edges[s]
-        labels.append(
-            tuple(
-                sum(labels[s][j] for j in range(edge.cols) if edge.entries[i][j] > 0)
-                for i in range(edge.rows)
-            )
-        )
+    labels = [(1,)]  # every edge is simple, so a label is the sum over in-neighbors
+    for edge in edges:
+        labels.append(apply(edge, labels[-1]))
     return LabeledBratteliDiagram(tuple(labels), tuple(edges), unital=True)
 
 

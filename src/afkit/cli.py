@@ -3,9 +3,10 @@
 Every subcommand is a thin adapter around one library call: it decodes JSON
 from a file (or stdin, written as "-" or omitted), invokes the call, and
 prints the canonical JSON of the result. Verdict-shaped commands exit 0 for
-ok, 1 for refuted, 2 for unknown-at-depth/budget, 3 for malformed input;
-conversions exit 0 or 3. Nothing unbounded runs by default: depth defaults to
-8 and search budgets to 100000 nodes.
+ok, 1 for refuted, 2 for unknown-at-depth/budget, 3 for malformed input or
+bad arguments; conversions exit 0 or 3. Exit 1 always names its witness: the
+offending vertex, stage or violation. Nothing unbounded runs by default:
+depth defaults to 8 and search budgets to 100000 nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ DEFAULT_DEPTH = 8
 DEFAULT_BUDGET = 100_000
 
 
-class _InputError(Exception):
+class _InputError(ValueError):
     pass
 
 
@@ -100,10 +101,8 @@ def cmd_validate(args) -> int:
         _emit({"status": "refuted", "kind": kind, "stage": bad[0], "reason": bad[1]})
         return EXIT_REFUTED
     if kind == "certificate":
-        raw = dict(payload)
-        claims_unital = bool(raw.get("unital", False))
-        raw["unital"] = False
-        cert = jsonio.certificate_from_obj(raw)
+        claims_unital = jsonio.bool_field(payload, "unital")
+        cert = jsonio.certificate_from_obj({**payload, "unital": False})
         if claims_unital:
             try:
                 dimgroup.DimCertificate(cert.stages, cert.bonds, unital=True)
@@ -112,10 +111,7 @@ def cmd_validate(args) -> int:
                 return EXIT_REFUTED
         _emit({"status": "ok", "kind": kind, "depth": cert.depth})
         return EXIT_OK
-    if kind == "algebra":
-        jsonio.algebra_from_obj(payload)
-        _emit({"status": "ok", "kind": kind})
-        return EXIT_OK
+    getattr(jsonio, f"{kind}_from_obj")(payload)  # algebra, zigzag or equivalence
     _emit({"status": "ok", "kind": kind})
     return EXIT_OK
 
@@ -368,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="accepted for symmetry; the search always targets full depth")
 
     p = add("zigzag", cmd_zigzag, help="build an intertwining witness between two certificates")
     p.add_argument("left")
@@ -406,18 +401,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (_InputError, jsonio.SchemaError) as exc:
-        _emit({"status": "input-error", "error": str(exc)})
-        return EXIT_INPUT_ERROR
     except bratteli.ConsistencyError as exc:
         _emit({"status": "refuted", "vertex": list(exc.vertex), "error": str(exc)})
         return EXIT_REFUTED
     except (elliott.LiftNotFound, elliott.DefectNotKilled, dimgroup.KernelWitnessNotFound) as exc:
         _emit({"status": "unknown", "reason": str(exc)})
         return EXIT_UNKNOWN
-    except ValueError as exc:
-        _emit({"status": "refuted", "error": str(exc)})
-        return EXIT_REFUTED
+    except ValueError as exc:  # _InputError, jsonio.SchemaError and library argument errors
+        _emit({"status": "input-error", "error": str(exc)})
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

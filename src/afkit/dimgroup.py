@@ -11,14 +11,16 @@ unknown-at-this-depth, never an unconditional No.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .findim import AFSequence, AlgebraHom, FinDimAlgebra, af_sequence_violation, k0, k0_hom
+from .findim import AFSequence, af_sequence_violation, k0, sorted_af_sequence
 from .ordgrp import (
     PosMatrix,
     SimplicialGroup,
     apply,
+    chain_product,
     compose,
+    mat_mul,
     mat_vec,
     restrict_to_convex,
     vector,
@@ -76,10 +78,7 @@ class DimCertificate:
         """Composite bond from stage s to stage t >= s (identity when t == s)."""
         if not 0 <= s <= t <= self.depth:
             raise ValueError(f"stages out of range: {s} -> {t}")
-        out = PosMatrix.identity(self.rank(s))
-        for k in range(s, t):
-            out = compose(self.bonds[k], out)
-        return out
+        return chain_product(self.bonds, s, t, self.rank(s))
 
 
 @dataclass(frozen=True)
@@ -126,13 +125,13 @@ class LimitHom:
 
 @dataclass(frozen=True)
 class Verdict3:
-    """Depth-bounded answer: yes/no with a witness stage, or unknown at depth."""
+    """Depth-bounded answer: yes with a witness stage, or unknown at depth."""
 
     status: str
     stage: Optional[int] = None
 
     def __post_init__(self):
-        if self.status not in ("yes", "no", "unknown"):
+        if self.status not in ("yes", "unknown"):
             raise ValueError(f"bad verdict status {self.status!r}")
 
     def is_yes(self) -> bool:
@@ -157,36 +156,47 @@ def push(cert: DimCertificate, el: LimitElement, t: int) -> tuple:
     return v
 
 
+def is_zero(rows) -> bool:
+    return not any(map(any, rows))
+
+
+def is_nonneg(rows) -> bool:
+    return min(map(min, rows)) >= 0
+
+
+def first_stage(cert: DimCertificate, start: int, rows, done: Callable) -> Optional[tuple]:
+    """(t, rows pushed to t) for the least t in start..depth with done(pushed), else None.
+
+    rows is a raw integer matrix at stage start, pushed one bond per stage.
+    """
+    for t in range(start, cert.depth + 1):
+        if done(rows):
+            return t, rows
+        if t < cert.depth:
+            rows = mat_mul(cert.bonds[t].entries, rows)
+    return None
+
+
 def eq_at_depth(cert: DimCertificate, a: LimitElement, b: LimitElement) -> Verdict3:
     """Yes with the least common stage where the pushes agree; else unknown.
 
     Never answers no: disagreement at every stage up to depth does not rule
-    out a merging stage beyond it. Both elements are pushed to their common
-    start stage once and then one bond per stage.
+    out a merging stage beyond it. The bonds are linear, so the pushes agree
+    exactly where the push of a - b from the common start stage dies.
     """
     _check_element(cert, a)
     _check_element(cert, b)
     start = max(a.stage, b.stage)
-    va, vb = push(cert, a, start), push(cert, b, start)
-    for t in range(start, cert.depth + 1):
-        if va == vb:
-            return Verdict3("yes", t)
-        if t < cert.depth:
-            bond = cert.bonds[t].entries
-            va, vb = mat_vec(bond, va), mat_vec(bond, vb)
-    return Verdict3("unknown", cert.depth)
+    diff = tuple((x - y,) for x, y in zip(push(cert, a, start), push(cert, b, start)))
+    found = first_stage(cert, start, diff, is_zero)
+    return Verdict3("unknown", cert.depth) if found is None else Verdict3("yes", found[0])
 
 
 def positive_at_depth(cert: DimCertificate, a: LimitElement) -> Verdict3:
     """Yes with the least stage where the push lands in the coordinate cone."""
     _check_element(cert, a)
-    v = a.vector
-    for t in range(a.stage, cert.depth + 1):
-        if all(x >= 0 for x in v):
-            return Verdict3("yes", t)
-        if t < cert.depth:
-            v = mat_vec(cert.bonds[t].entries, v)
-    return Verdict3("unknown", cert.depth)
+    found = first_stage(cert, a.stage, tuple((x,) for x in a.vector), is_nonneg)
+    return Verdict3("unknown", cert.depth) if found is None else Verdict3("yes", found[0])
 
 
 def shen_factor(cert: DimCertificate, theta: LimitHom, alpha: Sequence[int]):
@@ -205,23 +215,20 @@ def shen_factor(cert: DimCertificate, theta: LimitHom, alpha: Sequence[int]):
     al = vector(alpha)
     if len(al) != theta.source_rank:
         raise ValueError("alpha length does not match theta source rank")
-    w = mat_vec(theta.matrix, al)
-    t = theta.stage
-    for k in range(cert.depth - t + 1):
-        if all(x == 0 for x in w):
-            stage = t + k
-            phi = compose(cert.bond_product(t, stage), PosMatrix(theta.matrix))
-            theta_prime = LimitHom(
-                stage=stage,
-                matrix=PosMatrix.identity(cert.rank(stage)).entries,
-                positive=True,
-            )
-            return phi, theta_prime
-        if t + k < cert.depth:
-            w = mat_vec(cert.bonds[t + k].entries, w)
-    raise KernelWitnessNotFound(
-        f"theta.matrix @ alpha survives every stage up to depth {cert.depth}"
+    w = tuple((x,) for x in mat_vec(theta.matrix, al))
+    found = first_stage(cert, theta.stage, w, is_zero)
+    if found is None:
+        raise KernelWitnessNotFound(
+            f"theta.matrix @ alpha survives every stage up to depth {cert.depth}"
+        )
+    stage = found[0]
+    phi = compose(cert.bond_product(theta.stage, stage), PosMatrix(theta.matrix))
+    theta_prime = LimitHom(
+        stage=stage,
+        matrix=PosMatrix.identity(cert.rank(stage)).entries,
+        positive=True,
     )
+    return phi, theta_prime
 
 
 def unitalize(cert: DimCertificate) -> DimCertificate:
@@ -257,13 +264,8 @@ def certificate_of_af(seq: AFSequence) -> DimCertificate:
     if bad is not None:
         raise ValueError(f"invalid AF sequence at stage {bad[0]}: {bad[1]}")
     stages = tuple(k0(F) for F in seq.algebras)
-    bonds = tuple(k0_hom(h) for h in seq.homs)
+    bonds = tuple(h.mult for h in seq.homs)
     return DimCertificate(stages, bonds, unital=True)
-
-
-def _sort_perm(values: Sequence[int]) -> tuple:
-    """positions[i] = original index of the i-th smallest value (stable)."""
-    return tuple(sorted(range(len(values)), key=lambda j: (values[j], j)))
 
 
 def af_of_certificate(cert: DimCertificate) -> AFSequence:
@@ -279,19 +281,6 @@ def af_of_certificate(cert: DimCertificate) -> AFSequence:
         units = [cert.unit(s) for s in range(cert.depth + 1)]
     else:
         units = [tuple([1] * cert.rank(0))]
-        for s in range(cert.depth):
-            pushed = apply(cert.bonds[s], units[s])
-            units.append(tuple(max(x, 1) for x in pushed))
-    algebras = [FinDimAlgebra(u) for u in units]
-    homs = []
-    for s in range(cert.depth):
-        rowperm = _sort_perm(units[s + 1])
-        colperm = _sort_perm(units[s])
-        mult = PosMatrix(
-            tuple(
-                tuple(cert.bonds[s].entries[rowperm[i]][colperm[j]] for j in range(len(colperm)))
-                for i in range(len(rowperm))
-            )
-        )
-        homs.append(AlgebraHom(algebras[s], algebras[s + 1], mult))
-    return AFSequence(tuple(algebras), tuple(homs))
+        for bond in cert.bonds:
+            units.append(tuple(max(x, 1) for x in apply(bond, units[-1])))
+    return sorted_af_sequence(units, cert.bonds)

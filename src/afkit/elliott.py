@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .dimgroup import DimCertificate, LimitElement, LimitHom, eq_at_depth
+from .dimgroup import DimCertificate, LimitElement, LimitHom, eq_at_depth, first_stage, is_nonneg, is_zero
 from .ordgrp import PosMatrix, apply, compose, mat_mul, mat_vec
 
 
@@ -197,15 +197,10 @@ def intertwine_stage(
             raise ValueError(f"nu_r = mu . gamma not witnessed at depth on basis vector {j + 1}")
 
     start = max(mu.stage, min_stage if min_stage is not None else mu.stage)
-    lifted = pushed = None
-    for t in range(start, cert.depth + 1):
-        if pushed is None:
-            pushed = mat_mul(cert.bond_product(mu.stage, t).entries, mu.matrix)
-        else:
-            pushed = mat_mul(cert.bonds[t - 1].entries, pushed)
-        if all(x >= 0 for row in pushed for x in row):
-            lifted = (t, pushed)
-            break
+    lifted = None
+    if start <= cert.depth:
+        pushed = mat_mul(cert.bond_product(mu.stage, start).entries, mu.matrix)
+        lifted = first_stage(cert, start, pushed, is_nonneg)
     if lifted is None:
         raise LiftNotFound(f"no nonnegative representative of mu at stages {start}..{cert.depth}")
 
@@ -214,14 +209,11 @@ def intertwine_stage(
         tuple(f - d for f, d in zip(frow, drow))
         for frow, drow in zip(cert.bond_product(r, t_prime).entries, mat_mul(delta0, gamma.entries))
     )
-    for k in range(cert.depth - t_prime + 1):
-        if all(x == 0 for row in defect for x in row):
-            t = t_prime + k
-            delta = PosMatrix(mat_mul(cert.bond_product(t_prime, t).entries, delta0))
-            return t, delta
-        if t_prime + k < cert.depth:
-            defect = mat_mul(cert.bonds[t_prime + k].entries, defect)
-    raise DefectNotKilled(f"defect of the lift survives every stage up to depth {cert.depth}")
+    killed = first_stage(cert, t_prime, defect, is_zero)
+    if killed is None:
+        raise DefectNotKilled(f"defect of the lift survives every stage up to depth {cert.depth}")
+    t = killed[0]
+    return t, PosMatrix(mat_mul(cert.bond_product(t_prime, t).entries, delta0))
 
 
 def build_zigzag(

@@ -9,7 +9,7 @@ on scaled K0 groups. Only that exact integer data is kept here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .ordgrp import PosMatrix, SimplicialGroup, apply, compose, vector
 
@@ -77,16 +77,6 @@ class AlgebraHom:
         return all(any(row[j] != 0 for row in self.mult.entries) for j in range(self.mult.cols))
 
 
-def k0_hom(h: AlgebraHom) -> PosMatrix:
-    """Induced map on K0: the multiplicity matrix itself."""
-    return h.mult
-
-
-def hom_from_matrix(source: FinDimAlgebra, target: FinDimAlgebra, gamma: PosMatrix) -> AlgebraHom:
-    """Realize a positive K0 matrix as a *-homomorphism, if the sizes admit it."""
-    return AlgebraHom(source=source, target=target, mult=gamma)
-
-
 def identity_hom(algebra: FinDimAlgebra) -> AlgebraHom:
     return AlgebraHom(algebra, algebra, PosMatrix.identity(len(algebra)))
 
@@ -98,21 +88,13 @@ def compose_hom(g: AlgebraHom, f: AlgebraHom) -> AlgebraHom:
     return AlgebraHom(source=f.source, target=g.target, mult=compose(g.mult, f.mult))
 
 
-def is_unital(h: AlgebraHom) -> bool:
-    return h.is_unital()
-
-
-def is_injective(h: AlgebraHom) -> bool:
-    return h.is_injective()
-
-
 @dataclass(frozen=True)
 class AFSequence:
     """Finite tower of finite-dimensional algebras with connecting homs.
 
     Only the chaining of sources and targets is enforced at construction;
     unitality and injectivity of every hom (the conditions for a genuine
-    finite-depth AF presentation) are checked by validate_af_sequence.
+    finite-depth AF presentation) are checked by af_sequence_violation.
     """
 
     algebras: tuple  # tuple[FinDimAlgebra, ...]
@@ -146,9 +128,23 @@ def af_sequence_violation(seq: AFSequence) -> Optional[tuple]:
     return None
 
 
-def validate_af_sequence(seq: AFSequence) -> bool:
-    """True iff every connecting hom is a unital embedding."""
-    return af_sequence_violation(seq) is None
+def sorted_af_sequence(units: Sequence[Sequence[int]], mats: Sequence[PosMatrix]) -> AFSequence:
+    """AF sequence with block sizes units[s] and multiplicity matrices mats[s].
+
+    Each level's blocks are put in ascending order by a stable sort, and the
+    rows and columns of the matrices are permuted to match.
+    """
+    algebras = [FinDimAlgebra(u) for u in units]
+    perms = [sorted(range(len(u)), key=u.__getitem__) for u in units]  # stable: ties keep order
+    homs = [
+        AlgebraHom(
+            algebras[s],
+            algebras[s + 1],
+            PosMatrix(tuple(tuple(m.entries[i][j] for j in perms[s]) for i in perms[s + 1])),
+        )
+        for s, m in enumerate(mats)
+    ]
+    return AFSequence(tuple(algebras), tuple(homs))
 
 
 def car_sequence(depth: int) -> AFSequence:

@@ -48,6 +48,14 @@ def _expect_int(obj, path: str) -> int:
     return obj
 
 
+def bool_field(o: dict, key: str) -> bool:
+    """The optional boolean o[key], False when absent; anything but a JSON boolean is rejected."""
+    flag = o.get(key, False)
+    if not isinstance(flag, bool):
+        raise SchemaError(key, f"expected true or false, got {flag!r}")
+    return flag
+
+
 def _int_list(obj, path: str) -> list:
     return [_expect_int(x, f"{path}[{i}]") for i, x in enumerate(_expect_list(obj, path))]
 
@@ -94,7 +102,7 @@ def diagram_from_obj(obj) -> LabeledBratteliDiagram:
     o = _expect_dict(obj, "diagram")
     levels = [_int_list(level, f"levels[{i}]") for i, level in enumerate(_expect_list(o.get("levels"), "levels"))]
     edges = [matrix_from_obj(e, f"edges[{i}]") for i, e in enumerate(_expect_list(o.get("edges", []), "edges"))]
-    unital = bool(o.get("unital", False))
+    unital = bool_field(o, "unital")
     try:
         return LabeledBratteliDiagram(tuple(tuple(l) for l in levels), tuple(edges), unital=unital)
     except ValueError as exc:
@@ -189,7 +197,7 @@ def certificate_from_obj(obj) -> DimCertificate:
             raise SchemaError(f"stages[{i}]", str(exc)) from exc
     bonds = [matrix_from_obj(b, f"bonds[{i}]") for i, b in enumerate(_expect_list(o.get("bonds", []), "bonds"))]
     try:
-        return DimCertificate(tuple(stages), tuple(bonds), unital=bool(o.get("unital", False)))
+        return DimCertificate(tuple(stages), tuple(bonds), unital=bool_field(o, "unital"))
     except ValueError as exc:
         raise SchemaError("certificate", str(exc)) from exc
 
@@ -199,7 +207,7 @@ def limit_hom_from_obj(obj, path: str = "theta") -> LimitHom:
     stage = _expect_int(o.get("stage"), f"{path}.stage")
     rows = [_int_list(r, f"{path}.matrix[{i}]") for i, r in enumerate(_expect_list(o.get("matrix"), f"{path}.matrix"))]
     try:
-        return LimitHom(stage, tuple(tuple(r) for r in rows), positive=bool(o.get("positive", False)))
+        return LimitHom(stage, tuple(tuple(r) for r in rows), positive=bool_field(o, "positive"))
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 

@@ -9,6 +9,7 @@ Everything here is immutable and exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 IntVector = tuple  # tuple[int, ...]; rank >= 1
@@ -76,11 +77,6 @@ class PosMatrix:
     def column(self, j: int) -> IntVector:
         return tuple(row[j] for row in self.entries)
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            x == (1 if i == j else 0) for i, row in enumerate(self.entries) for j, x in enumerate(row)
-        )
-
     def is_permutation(self) -> bool:
         """True iff the matrix permutes the standard basis."""
         if self.rows != self.cols:
@@ -134,36 +130,37 @@ def compose(a: PosMatrix, b: PosMatrix) -> PosMatrix:
     """Exact matrix product a . b (apply b first, then a)."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
-    return PosMatrix(
-        tuple(
-            tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols)) for j in range(b.cols))
-            for i in range(a.rows)
-        )
-    )
+    return PosMatrix(mat_mul(a.entries, b.entries))
 
 
 def apply(m: PosMatrix, v: Sequence[int]) -> IntVector:
     """Exact matrix-vector product m . v."""
     if m.cols != len(v):
         raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} applied to length {len(v)}")
-    return tuple(sum(row[j] * v[j] for j in range(m.cols)) for row in m.entries)
+    return mat_vec(m.entries, v)
+
+
+def chain_product(mats: Sequence[PosMatrix], s: int, t: int, n: int) -> PosMatrix:
+    """Product mats[t-1] ... mats[s], one compose per gap; the n x n identity when t == s."""
+    out = PosMatrix.identity(n)
+    for k in range(s, t):
+        out = compose(mats[k], out)
+    return out
 
 
 def mat_vec(rows: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
     """Matrix-vector product for raw (possibly signed) integer matrices."""
     if not rows or len(rows[0]) != len(v):
         raise ValueError("dimension mismatch")
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in rows)
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
     """Matrix product for raw (possibly signed) integer matrices."""
     if len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def is_order_unit(u: Sequence[int]) -> bool:

@@ -88,6 +88,8 @@ def _least_power_below(value: Fraction) -> int:
 
 def Delta1(n: int, k: int) -> int:
     """Least N with 2^-N < delta0(2^-(k+1), n); 0 for the unused n = 0 case."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if n == 0:
         return 0
     return _least_power_below(delta0(Fraction(1, 2 ** (k + 1)), n))
@@ -99,6 +101,8 @@ def Delta2(n: int, k: int) -> int:
 
 def Delta3(n: int, k: int) -> int:
     """Least N with 2^-N < delta2(2^-(k+1), n); 0 for the unused n = 0 case."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if n == 0:
         return 0
     return _least_power_below(delta2(Fraction(1, 2 ** (k + 1)), n))

@@ -23,7 +23,7 @@ from afkit.bratteli import (
     supernatural_prefix,
     telescope,
 )
-from afkit.dimgroup import DimCertificate
+from afkit.dimgroup import DimCertificate, af_of_certificate
 from afkit.findim import AFSequence, AlgebraHom, FinDimAlgebra, car_sequence
 from afkit.ordgrp import PosMatrix, SimplicialGroup
 
@@ -166,6 +166,40 @@ class TestDiagramSequenceBridge:
             d = diagram_of_af_sequence(seq)
             assert af_sequence_of_diagram(d) == seq
             assert diagram_of_af_sequence(af_sequence_of_diagram(d)) == d
+
+    # Multiplicity matrices read off relabelled diagrams whose levels carry
+    # repeated labels out of order, so the stable sort decides the block order.
+    SORTED_MULTS = {
+        0: (
+            ((0, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0), (1, 1, 0, 1)),
+            ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 1), (1, 0, 1, 1)),
+            ((0, 0, 1, 0), (1, 1, 1, 1)),
+        ),
+        1: (((1, 1),), ((1,), (1,), (1,), (1,)), ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1))),
+        3: (((1, 0), (0, 1), (1, 1), (1, 1)), ((1, 0, 0, 0), (0, 1, 1, 1)), ((1, 0), (1, 0), (0, 1), (1, 1))),
+    }
+
+    @staticmethod
+    def relabelled(seed):
+        rnd = random.Random(seed)
+        seq = random_unital_sequence(rnd, 3, max_blocks=4, max_entry=1, max_start=1)
+        d = diagram_of_af_sequence(seq)
+        return apply_iso(d, [rnd.sample(range(len(level)), len(level)) for level in d.levels])
+
+    @pytest.mark.parametrize("seed", sorted(SORTED_MULTS))
+    def test_unsorted_levels_are_stably_sorted(self, seed):
+        d = self.relabelled(seed)
+        assert any(list(level) != sorted(level) for level in d.levels)
+        seq = af_sequence_of_diagram(d)
+        assert [f.summands for f in seq.algebras] == [tuple(sorted(level)) for level in d.levels]
+        assert tuple(h.mult.entries for h in seq.homs) == self.SORTED_MULTS[seed]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_diagram_and_certificate_read_the_same_sequence(self, seed):
+        d = self.relabelled(seed)
+        stages = tuple(SimplicialGroup(len(level), level) for level in d.levels)
+        cert = DimCertificate(stages, d.edges, unital=True)
+        assert af_sequence_of_diagram(d) == af_of_certificate(cert)
 
     def test_inconsistent_labels_rejected(self):
         d = LabeledBratteliDiagram(((1,), (3,)), (PosMatrix(((2,),)),), unital=True)

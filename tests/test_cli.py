@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import afkit
 from afkit import bratteli, dimgroup, jsonio, perturb
 from afkit.cli import main
@@ -99,6 +101,44 @@ class TestVerdicts:
         code, out = run(capsys, ["validate", path])
         assert code == 1
         assert json.loads(out)["status"] == "refuted"
+
+    def test_flags_must_be_json_booleans(self, capsys, tmp_path):
+        diagram = {"levels": [[1], [2]], "edges": [[[2]]], "unital": "false"}
+        cert = {
+            "stages": [{"rank": 1, "unit": [1]}, {"rank": 1, "unit": [2]}],
+            "bonds": [[[2]]],
+            "unital": "false",
+        }
+        for obj, decode in ((diagram, jsonio.diagram_from_obj), (cert, jsonio.certificate_from_obj)):
+            code, out = run(capsys, ["validate", write(tmp_path, "x.json", obj)])
+            assert code == 3 and json.loads(out)["status"] == "input-error"
+            for flag in ("false", 1, None):
+                with pytest.raises(jsonio.SchemaError):
+                    decode({**obj, "unital": flag})
+            assert decode({**obj, "unital": True}).unital is True
+            assert decode({k: v for k, v in obj.items() if k != "unital"}).unital is False
+        with pytest.raises(jsonio.SchemaError):
+            jsonio.limit_hom_from_obj({"stage": 0, "matrix": [[1]], "positive": "false"})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"nStages": "garbage", "alpha": 5},
+            {"nStages": [0], "mStages": [0], "alpha": [[[-1]]]},
+            {"steps": "junk"},
+            {"steps": [{"side": "left", "op": "flip"}]},
+        ],
+    )
+    def test_validate_decodes_witness_payloads(self, capsys, tmp_path, obj):
+        code, out = run(capsys, ["validate", write(tmp_path, "w.json", obj)])
+        assert code == 3 and json.loads(out)["status"] == "input-error"
+
+    def test_validate_accepts_witness_payloads(self, capsys, tmp_path):
+        zigzag = {"nStages": [0], "mStages": [0], "alpha": [[[1]]], "beta": []}
+        equivalence = {"steps": [{"side": "left", "op": "telescope", "stages": [0, 2]}]}
+        for obj, kind in ((zigzag, "zigzag"), (equivalence, "equivalence")):
+            code, out = run(capsys, ["validate", write(tmp_path, "w.json", obj)])
+            assert code == 0 and out == '{"kind":"%s","status":"ok"}\n' % kind
 
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -282,6 +322,29 @@ class TestSearchCommands:
         assert code == 2
         payload = json.loads(out)
         assert payload["status"] == "unknown" and payload["achieved"] is None
+
+
+CAR3 = jsonio.canonical_dumps(jsonio.diagram_to_obj(bratteli.gen_car(3)))
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, named",
+    [
+        (["telescope", "--stages", "0,5"], CAR3, "exceeds diagram depth"),
+        (["path-count", "--from", "0,0", "--to", "9,0"], CAR3, "out of range"),
+        (["moduli", "--n", "0"], "", "n must be >= 1"),
+        (["moduli", "--k", "-1"], "", "k must be >= 0"),
+        (["gen", "car", "--depth", "-1"], "", "depth must be >= 0"),
+        (["perturb-demo", "--n", "3", "--d", "2"], "", "d >= n"),
+    ],
+    ids=["telescope", "path-count", "moduli-n", "moduli-k", "gen", "perturb-demo"],
+)
+def test_bad_arguments_are_input_errors(capsys, argv, stdin, named):
+    # exit 1 is kept for refutations that name a witness
+    code, out = run(capsys, argv, stdin=stdin)
+    payload = json.loads(out)
+    assert code == 3 and payload["status"] == "input-error"
+    assert named in payload["error"]
 
 
 def test_import_does_not_load_numpy():

@@ -18,7 +18,7 @@ from afkit.dimgroup import (
     shen_factor,
     unitalize,
 )
-from afkit.findim import car_sequence, validate_af_sequence
+from afkit.findim import af_sequence_violation, car_sequence
 from afkit.ordgrp import PosMatrix, SimplicialGroup, mat_vec
 
 from helpers import (
@@ -275,7 +275,7 @@ class TestAFBridge:
         )
         seq = af_of_certificate(cert)
         assert [f.summands for f in seq.algebras] == [(1,), (2,), (4,), (8,)]
-        assert validate_af_sequence(seq)
+        assert af_sequence_violation(seq) is None
 
     def test_unitless_synthesis_pads_dead_rows(self):
         cert = DimCertificate(

@@ -10,7 +10,7 @@ from afkit.elliott import (
     verify_zigzag,
     zigzag_violation,
 )
-from afkit.findim import car_sequence, compose_hom, hom_from_matrix
+from afkit.findim import AlgebraHom, car_sequence, compose_hom
 from afkit.dimgroup import af_of_certificate
 from afkit.ordgrp import PosMatrix, SimplicialGroup
 
@@ -164,8 +164,8 @@ class TestBuildZigzag:
             FA = seqA.algebras[w.n_stages[s]]
             FAn = seqA.algebras[w.n_stages[s + 1]]
             FB = seqB.algebras[w.m_stages[s]]
-            sigma = hom_from_matrix(FA, FB, w.alphas[s])
-            tau = hom_from_matrix(FB, FAn, w.betas[s])
+            sigma = AlgebraHom(FA, FB, w.alphas[s])
+            tau = AlgebraHom(FB, FAn, w.betas[s])
             assert compose_hom(tau, sigma).mult == car.bond_product(
                 w.n_stages[s], w.n_stages[s + 1]
             )

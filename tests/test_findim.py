@@ -11,13 +11,8 @@ from afkit.findim import (
     car_sequence,
     compose_hom,
     dim,
-    hom_from_matrix,
     identity_hom,
-    is_injective,
-    is_unital,
     k0,
-    k0_hom,
-    validate_af_sequence,
 )
 from afkit.ordgrp import PosMatrix, apply, compose
 
@@ -54,20 +49,23 @@ class TestAlgebra:
 
 class TestHoms:
     def test_k0_hom_is_the_multiplicity_matrix(self):
+        # K0 of a hom is its multiplicity matrix, acting on the block-size units
         h = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((2,),)))
-        assert k0_hom(h).entries == ((2,),)
+        assert h.mult.entries == ((2,),)
         ident = identity_hom(FinDimAlgebra((2, 3)))
-        assert k0_hom(ident) == PosMatrix.identity(2)
+        assert ident.mult == PosMatrix.identity(2)
         h = AlgebraHom(FinDimAlgebra((1,)), FinDimAlgebra((2, 3)), PosMatrix(((2,), (3,))))
         assert h.is_unital()
-        assert k0_hom(h).entries == ((2,), (3,))
+        assert h.mult.entries == ((2,), (3,))
+        assert apply(h.mult, k0(h.source).unit) == k0(h.target).unit
 
     def test_hom_from_matrix(self):
-        h = hom_from_matrix(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((2,),)))
+        # the constructor realizes a positive K0 matrix when the sizes admit it
+        h = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((2,),)))
         assert h.is_unital()
         with pytest.raises(SizeViolation):
-            hom_from_matrix(FinDimAlgebra((2,)), FinDimAlgebra((3,)), PosMatrix(((2,),)))
-        h = hom_from_matrix(FinDimAlgebra((2, 3)), FinDimAlgebra((5,)), PosMatrix(((1, 1),)))
+            AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((3,)), PosMatrix(((2,),)))
+        h = AlgebraHom(FinDimAlgebra((2, 3)), FinDimAlgebra((5,)), PosMatrix(((1, 1),)))
         assert h.is_unital()
 
     def test_compose(self):
@@ -88,17 +86,17 @@ class TestHoms:
 
     def test_unital_injective_flags(self):
         h = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((2,),)))
-        assert is_unital(h) and is_injective(h)
+        assert h.is_unital() and h.is_injective()
         h = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((5,)), PosMatrix(((2,),)))
-        assert not is_unital(h) and is_injective(h)
+        assert not h.is_unital() and h.is_injective()
         h = AlgebraHom(FinDimAlgebra((1, 1)), FinDimAlgebra((2,)), PosMatrix(((1, 0),)))
-        assert not is_injective(h)
+        assert not h.is_injective()
 
     def test_round_trip_hom_matrix(self):
         rnd = random.Random(5)
         for _ in range(100):
             h = random_hom(rnd, random_algebra(rnd), unital=bool(rnd.getrandbits(1)))
-            again = hom_from_matrix(h.source, h.target, k0_hom(h))
+            again = AlgebraHom(h.source, h.target, h.mult)
             assert again == h
 
     def test_functoriality_random(self):
@@ -106,24 +104,24 @@ class TestHoms:
         for _ in range(100):
             f = random_hom(rnd, random_algebra(rnd), unital=bool(rnd.getrandbits(1)))
             g = random_hom(rnd, f.target, unital=bool(rnd.getrandbits(1)))
-            assert k0_hom(compose_hom(g, f)) == compose(k0_hom(g), k0_hom(f))
+            assert compose_hom(g, f).mult == compose(g.mult, f.mult)
 
     def test_unit_tracking(self):
         rnd = random.Random(7)
         for _ in range(100):
             h = random_hom(rnd, random_algebra(rnd), unital=True)
-            assert apply(k0_hom(h), k0(h.source).unit) == k0(h.target).unit
+            assert apply(h.mult, k0(h.source).unit) == k0(h.target).unit
 
 
 class TestAFSequence:
     def test_car_prefix_valid(self):
         seq = car_sequence(2)
         assert [f.summands for f in seq.algebras] == [(1,), (2,), (4,)]
-        assert validate_af_sequence(seq)
+        assert af_sequence_violation(seq) is None
 
     def test_single_algebra(self):
         seq = AFSequence((FinDimAlgebra((3,)),), ())
-        assert validate_af_sequence(seq)
+        assert af_sequence_violation(seq) is None
 
     def test_non_unital_reported_with_stage(self):
         a = FinDimAlgebra((1,))
@@ -136,7 +134,6 @@ class TestAFSequence:
                 AlgebraHom(b, c, PosMatrix(((2,),))),
             ),
         )
-        assert not validate_af_sequence(seq)
         assert af_sequence_violation(seq) == (1, "non-unital")
 
     def test_chaining_enforced(self):

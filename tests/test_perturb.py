@@ -365,7 +365,7 @@ class TestUnitaryIntertwiner:
         # numeric realizations differ only by a unitary, recovered here
         from afkit.dimgroup import certificate_of_af, af_of_certificate
         from afkit.elliott import build_zigzag
-        from afkit.findim import car_sequence, compose_hom, hom_from_matrix
+        from afkit.findim import AlgebraHom, car_sequence, compose_hom
         from helpers import uhf_certificate
 
         car = certificate_of_af(car_sequence(10))
@@ -374,10 +374,10 @@ class TestUnitaryIntertwiner:
         seqA = af_of_certificate(car)
         seqB = af_of_certificate(car4)
         s = 1
-        sigma = hom_from_matrix(
+        sigma = AlgebraHom(
             seqA.algebras[zz.n_stages[s]], seqB.algebras[zz.m_stages[s]], zz.alphas[s]
         )
-        tau = hom_from_matrix(
+        tau = AlgebraHom(
             seqB.algebras[zz.m_stages[s]], seqA.algebras[zz.n_stages[s + 1]], zz.betas[s]
         )
         round_hom = compose_hom(tau, sigma)
