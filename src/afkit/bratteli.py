@@ -13,7 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .dimgroup import DimCertificate
 from .findim import AFSequence, af_sequence_violation, sorted_af_sequence
 from .ordgrp import PosMatrix, apply, chain_product, compose, mat_vec
 
@@ -62,9 +61,6 @@ class LabeledBratteliDiagram:
     @property
     def depth(self) -> int:
         return len(self.edges)
-
-    def label(self, level: int, index: int) -> int:
-        return self.levels[level][index]
 
 
 @dataclass(frozen=True)
@@ -175,17 +171,6 @@ def af_sequence_of_diagram(diagram: LabeledBratteliDiagram) -> AFSequence:
     return sorted_af_sequence(diagram.levels, diagram.edges)
 
 
-def diagram_of_simplicial_tower(cert: DimCertificate) -> LabeledBratteliDiagram:
-    """Standard diagram of a unit-carrying tower: units label the levels, bonds are edges."""
-    levels = []
-    for s, grp in enumerate(cert.stages):
-        if grp.unit is None:
-            raise ValueError(f"stage {s} has no unit")
-        levels.append(grp.unit)
-    unital = all(apply(b, levels[s]) == levels[s + 1] for s, b in enumerate(cert.bonds))
-    return LabeledBratteliDiagram(tuple(levels), cert.bonds, unital=unital)
-
-
 @dataclass(frozen=True)
 class SimplicityVerdict:
     """Depth-qualified connectivity report.
@@ -239,6 +224,8 @@ def supernatural_prefix(diagram: LabeledBratteliDiagram, depth: Optional[int] = 
     Only defined for single-vertex levels (telescope first); the result is a
     finite lower approximation of the supernatural number of the limit.
     """
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be >= 0")
     gaps = diagram.depth if depth is None else min(depth, diagram.depth)
     for k in range(gaps + 1):
         if len(diagram.levels[k]) != 1:
@@ -481,6 +468,8 @@ def equivalence_search(
     pair and every label-preserving bijection tried costs one node; pairs
     whose label multisets differ have no bijection and build no path matrix.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     for d in (d1, d2):
         if not d.unital:
             raise ValueError("equivalence search needs diagrams marked unital")

@@ -29,6 +29,13 @@ class _InputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise _InputError, so main reports them as exit 3; --help still exits 0."""
+
+    def error(self, message):
+        raise _InputError(f"{self.prog}: {message}")
+
+
 def _read_payload(path: str):
     try:
         if path in (None, "-"):
@@ -309,7 +316,7 @@ def cmd_perturb_demo(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="afkit",
         description="Exact finite-depth toolkit for AF-algebra classification data.",
     )
@@ -397,9 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except bratteli.ConsistencyError as exc:
         _emit({"status": "refuted", "vertex": list(exc.vertex), "error": str(exc)})

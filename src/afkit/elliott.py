@@ -74,23 +74,6 @@ class ZigzagWitness:
         return len(self.betas)
 
 
-def swap_witness(w: ZigzagWitness) -> ZigzagWitness:
-    """Exchange the two towers, shifting the witness by half a round.
-
-    The betas become the forward maps of the swapped witness, so its depth
-    drops by one.
-    """
-    K = w.depth
-    if K < 1:
-        raise ValueError("cannot swap a witness with no completed round")
-    return ZigzagWitness(
-        n_stages=w.m_stages[:K],
-        m_stages=w.n_stages[1 : K + 1],
-        alphas=w.betas,
-        betas=tuple(w.alphas[1:K]),
-    )
-
-
 def _row_solutions(
     product_rows: Optional[Sequence[Sequence[int]]],
     target: Optional[Sequence[int]],
@@ -134,7 +117,7 @@ def _matrix_solutions(
     weights: Sequence[int],
     unit_targets: Sequence[int],
 ) -> Iterator[PosMatrix]:
-    """Matrices whose row i solves row @ product == target.row(i), row . weights == unit_targets[i]."""
+    """Matrices whose row i solves row @ product == target row i, row . weights == unit_targets[i]."""
     per_row = []
     for i, c in enumerate(unit_targets):
         rows = list(
@@ -240,6 +223,8 @@ def build_zigzag(
         raise ValueError("build_zigzag needs unital certificates")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
 
     budget_box = _Budget(budget)
 

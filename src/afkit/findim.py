@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ordgrp import PosMatrix, SimplicialGroup, apply, compose, vector
+from .ordgrp import PosMatrix, SimplicialGroup, apply, vector
 
 
 class SizeViolation(ValueError):
@@ -35,11 +35,6 @@ class FinDimAlgebra:
 
     def __len__(self) -> int:
         return len(self.summands)
-
-
-def dim(algebra: FinDimAlgebra) -> int:
-    """Linear dimension: sum of squared block sizes."""
-    return sum(n * n for n in algebra.summands)
 
 
 def k0(algebra: FinDimAlgebra) -> SimplicialGroup:
@@ -75,17 +70,6 @@ class AlgebraHom:
 
     def is_injective(self) -> bool:
         return all(any(row[j] != 0 for row in self.mult.entries) for j in range(self.mult.cols))
-
-
-def identity_hom(algebra: FinDimAlgebra) -> AlgebraHom:
-    return AlgebraHom(algebra, algebra, PosMatrix.identity(len(algebra)))
-
-
-def compose_hom(g: AlgebraHom, f: AlgebraHom) -> AlgebraHom:
-    """Composite hom g after f; multiplicities multiply."""
-    if f.target != g.source:
-        raise ValueError("homs not composable: f.target != g.source")
-    return AlgebraHom(source=f.source, target=g.target, mult=compose(g.mult, f.mult))
 
 
 @dataclass(frozen=True)
@@ -143,16 +127,5 @@ def sorted_af_sequence(units: Sequence[Sequence[int]], mats: Sequence[PosMatrix]
             PosMatrix(tuple(tuple(m.entries[i][j] for j in perms[s]) for i in perms[s + 1])),
         )
         for s, m in enumerate(mats)
-    ]
-    return AFSequence(tuple(algebras), tuple(homs))
-
-
-def car_sequence(depth: int) -> AFSequence:
-    """The 2^infinity prefix: M_1 -> M_2 -> M_4 -> ... with doubling embeddings."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    algebras = [FinDimAlgebra((2**s,)) for s in range(depth + 1)]
-    homs = [
-        AlgebraHom(algebras[s], algebras[s + 1], PosMatrix(((2,),))) for s in range(depth)
     ]
     return AFSequence(tuple(algebras), tuple(homs))

@@ -26,11 +26,6 @@ def vector(entries: Iterable[int]) -> IntVector:
     return v
 
 
-def _check_same_length(a: IntVector, b: IntVector) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-
-
 @dataclass(frozen=True)
 class PosMatrix:
     """Nonnegative integer matrix; a positive homomorphism Z^cols -> Z^rows.
@@ -71,32 +66,8 @@ class PosMatrix:
             raise ValueError("identity needs n >= 1")
         return PosMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def row(self, i: int) -> IntVector:
-        return self.entries[i]
-
     def column(self, j: int) -> IntVector:
         return tuple(row[j] for row in self.entries)
-
-    def is_permutation(self) -> bool:
-        """True iff the matrix permutes the standard basis."""
-        if self.rows != self.cols:
-            return False
-        seen = set()
-        for row in self.entries:
-            ones = [j for j, x in enumerate(row) if x == 1]
-            if len(ones) != 1 or any(x not in (0, 1) for x in row):
-                return False
-            seen.add(ones[0])
-        return len(seen) == self.rows
-
-    def permutation(self) -> tuple:
-        """For a permutation matrix, the map j -> image index i with m[i][j] = 1."""
-        if not self.is_permutation():
-            raise ValueError("not a permutation matrix")
-        out = [0] * self.cols
-        for i, row in enumerate(self.entries):
-            out[row.index(1)] = i
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -161,26 +132,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
         raise ValueError("dimension mismatch")
     cols = list(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
-
-
-def is_order_unit(u: Sequence[int]) -> bool:
-    """Decide whether u scales all of Z^n: every component must be >= 1."""
-    return all(isinstance(x, int) and x >= 1 for x in vector(u))
-
-
-def convex_member(x: Sequence[int], g: Sequence[int]) -> bool:
-    """Membership of g in the convex subgroup generated by x >= 0.
-
-    Some positive n satisfies -n*x <= g <= n*x iff g vanishes wherever x does;
-    on the support of x any n >= max|g_j|/x_j works.
-    """
-    xv, gv = vector(x), vector(g)
-    _check_same_length(xv, gv)
-    if any(c < 0 for c in xv):
-        raise ValueError("generator x must be nonnegative")
-    if all(c == 0 for c in xv):
-        raise ValueError("generator x must be nonzero")
-    return all(gj == 0 for xj, gj in zip(xv, gv) if xj == 0)
 
 
 def convex_basis(u: Sequence[int]) -> tuple:

@@ -24,15 +24,9 @@ import numpy as np
 
 from .findim import FinDimAlgebra
 
-Rat = Fraction
-
 
 class PerturbationPreconditionError(ValueError):
     """An input violates a stated closeness or structure bound."""
-
-
-class MultiplicityMismatch(ValueError):
-    """Two realizations embed the blocks with different multiplicities."""
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +205,6 @@ class MatrixUnitSystem:
     def unit(self, s: int, i: int, j: int) -> np.ndarray:
         return self.units[s][i][j]
 
-    def diagonal_projections(self) -> list:
-        """Block sums p_s = sum_i e^s_{i,i}."""
-        return [sum(self.units[s][i][i] for i in range(n)) for s, n in enumerate(self.sizes)]
-
 
 def canonical_matrix_units(algebra: FinDimAlgebra) -> MatrixUnitSystem:
     """Standard block-diagonal matrix units of the algebra inside M_(sum of sizes)."""
@@ -389,52 +379,6 @@ def glimm_unitary(
     return u
 
 
-def unitary_intertwiner(r1: MatrixUnitSystem, r2: MatrixUnitSystem) -> np.ndarray:
-    """Unitary U with U (r1 units) U* = (r2 units), for two realizations of one embedding.
-
-    Matches orthonormal bases of the ranges of the corner projections
-    e^s_{1,1} block by block; this exists exactly when the two realizations
-    have the same multiplicity on every block and are both unital.
-    """
-    if r1.sizes != r2.sizes:
-        raise MultiplicityMismatch(f"type mismatch: {r1.sizes} vs {r2.sizes}")
-    if r1.dim != r2.dim:
-        raise ValueError("ambient dimensions differ")
-    d = r1.dim
-    mults = []
-    for s in range(len(r1.sizes)):
-        m1 = int(round(np.trace(r1.unit(s, 0, 0)).real))
-        m2 = int(round(np.trace(r2.unit(s, 0, 0)).real))
-        if m1 != m2:
-            raise MultiplicityMismatch(f"block {s}: multiplicity {m1} vs {m2}")
-        mults.append(m1)
-    for r in (r1, r2):
-        total = sum(r.unit(s, i, i) for s, n in enumerate(r.sizes) for i in range(n))
-        if operator_norm(total - np.eye(d)) > 1e-8:
-            raise PerturbationPreconditionError("realization is not unital within 1e-8")
-
-    def corner_basis(system: MatrixUnitSystem, s: int, want: int) -> np.ndarray:
-        w, vecs = np.linalg.eigh(system.unit(s, 0, 0))
-        cols = [c for c in range(len(w)) if w[c] > 0.5]
-        if len(cols) != want:
-            raise PerturbationPreconditionError(
-                f"corner projection of block {s} has rank {len(cols)}, expected {want}"
-            )
-        return vecs[:, cols]
-
-    u = np.zeros((d, d), dtype=complex)
-    for s, n in enumerate(r1.sizes):
-        if mults[s] == 0:
-            continue
-        x = corner_basis(r1, s, mults[s])
-        y = corner_basis(r2, s, mults[s])
-        for i in range(n):
-            a = r1.unit(s, i, 0) @ x
-            b = r2.unit(s, i, 0) @ y
-            u = u + b @ a.conj().T
-    return u
-
-
 def conjugate_system(system: MatrixUnitSystem, u: np.ndarray) -> MatrixUnitSystem:
     """The system with every unit replaced by u e u*."""
     units = tuple(
@@ -469,6 +413,10 @@ def nearby_unitary(d: int, scale: float, rng: np.random.Generator) -> np.ndarray
 
 def exchange_demo(n: int, k: int, d: int, seed: int) -> dict:
     """One seeded exchange instance; reports each bound next to its measurement."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if d < n:
         raise ValueError("need d >= n to fit n orthogonal projections")
     rng = np.random.default_rng(seed)
@@ -508,6 +456,8 @@ def exchange_demo(n: int, k: int, d: int, seed: int) -> dict:
 
 def glimm_demo(sizes: Sequence[int], k: int, seed: int) -> dict:
     """One seeded near-inclusion conjugation instance with its norm-chain bound."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     algebra = FinDimAlgebra(tuple(sizes))
     g = canonical_matrix_units(algebra)
     d = g.dim

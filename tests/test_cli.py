@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -9,7 +11,6 @@ import pytest
 import afkit
 from afkit import bratteli, dimgroup, jsonio, perturb
 from afkit.cli import main
-from afkit.findim import car_sequence
 
 from helpers import uhf_certificate
 
@@ -179,7 +180,7 @@ class TestConversions:
         assert code == 0 and json.loads(out) == 8
 
     def test_af_cert_cycle(self, capsys, tmp_path):
-        seq = car_sequence(4)
+        seq = bratteli.af_sequence_of_diagram(bratteli.gen_car(4))
         seq_path = write(tmp_path, "seq.json", jsonio.sequence_to_obj(seq))
         code, cert_out = run(capsys, ["af-to-cert", seq_path])
         assert code == 0
@@ -192,7 +193,7 @@ class TestConversions:
         assert json.loads(seq_out) == jsonio.sequence_to_obj(seq)
 
     def test_diagram_cycle(self, capsys, tmp_path):
-        seq = car_sequence(3)
+        seq = bratteli.af_sequence_of_diagram(bratteli.gen_car(3))
         seq_path = write(tmp_path, "seq.json", jsonio.sequence_to_obj(seq))
         code, d_out = run(capsys, ["af-to-diagram", seq_path])
         assert code == 0
@@ -282,7 +283,9 @@ class TestSearchCommands:
         car = write(
             tmp_path,
             "car.json",
-            jsonio.certificate_to_obj(dimgroup.certificate_of_af(car_sequence(10))),
+            jsonio.certificate_to_obj(
+                dimgroup.certificate_of_af(bratteli.af_sequence_of_diagram(bratteli.gen_car(10)))
+            ),
         )
         car4 = write(tmp_path, "car4.json", jsonio.certificate_to_obj(uhf_certificate(4, 5)))
         code, out = run(capsys, ["zigzag", car, car4, "--depth", "5"])
@@ -304,7 +307,9 @@ class TestSearchCommands:
         car = write(
             tmp_path,
             "car.json",
-            jsonio.certificate_to_obj(dimgroup.certificate_of_af(car_sequence(5))),
+            jsonio.certificate_to_obj(
+                dimgroup.certificate_of_af(bratteli.af_sequence_of_diagram(bratteli.gen_car(5)))
+            ),
         )
         three = write(tmp_path, "three.json", jsonio.certificate_to_obj(uhf_certificate(3, 5)))
         code, out = run(capsys, ["zigzag", car, three, "--depth", "5"])
@@ -316,7 +321,9 @@ class TestSearchCommands:
         car = write(
             tmp_path,
             "car.json",
-            jsonio.certificate_to_obj(dimgroup.certificate_of_af(car_sequence(4))),
+            jsonio.certificate_to_obj(
+                dimgroup.certificate_of_af(bratteli.af_sequence_of_diagram(bratteli.gen_car(4)))
+            ),
         )
         code, out = run(capsys, ["zigzag", car, car, "--depth", "2", "--budget", "0"])
         assert code == 2
@@ -325,6 +332,7 @@ class TestSearchCommands:
 
 
 CAR3 = jsonio.canonical_dumps(jsonio.diagram_to_obj(bratteli.gen_car(3)))
+CAR3_CERT = jsonio.canonical_dumps(jsonio.certificate_to_obj(uhf_certificate(2, 3)))
 
 
 @pytest.mark.parametrize(
@@ -336,11 +344,40 @@ CAR3 = jsonio.canonical_dumps(jsonio.diagram_to_obj(bratteli.gen_car(3)))
         (["moduli", "--k", "-1"], "", "k must be >= 0"),
         (["gen", "car", "--depth", "-1"], "", "depth must be >= 0"),
         (["perturb-demo", "--n", "3", "--d", "2"], "", "d >= n"),
+        (["zigzag", "CERT", "CERT", "--depth", "x"], "", "invalid int value"),
+        (["gen", "car", "--depth", "x"], "", "invalid int value"),
+        (["telescope", "DIAGRAM"], "", "required: --stages"),
+        (["path-count", "DIAGRAM", "--from", "0,0", "--to", "-1,0"], "", "expected one argument"),
+        (["supernatural", "--depth", "-5"], CAR3, "depth must be >= 0"),
+        (["zigzag", "CERT", "CERT", "--budget", "-1"], "", "budget must be >= 0"),
+        (["equiv", "DIAGRAM", "DIAGRAM", "--budget", "-1"], "", "budget must be >= 0"),
+        (["perturb-demo", "--k", "-1"], "", "k must be >= 0"),
+        (["perturb-demo", "--n", "0"], "", "n must be >= 1"),
     ],
-    ids=["telescope", "path-count", "moduli-n", "moduli-k", "gen", "perturb-demo"],
+    ids=[
+        "telescope",
+        "path-count",
+        "moduli-n",
+        "moduli-k",
+        "gen",
+        "perturb-demo",
+        "zigzag-depth-not-int",
+        "gen-depth-not-int",
+        "telescope-no-stages",
+        "path-count-dash-vertex",
+        "supernatural-negative-depth",
+        "zigzag-negative-budget",
+        "equiv-negative-budget",
+        "perturb-demo-negative-k",
+        "perturb-demo-zero-n",
+    ],
 )
-def test_bad_arguments_are_input_errors(capsys, argv, stdin, named):
-    # exit 1 is kept for refutations that name a witness
+def test_bad_arguments_are_input_errors(capsys, tmp_path, argv, stdin, named):
+    # exit 1 is kept for refutations that name a witness; usage errors are exit 3 too
+    files = {"CERT": CAR3_CERT, "DIAGRAM": CAR3}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     code, out = run(capsys, argv, stdin=stdin)
     payload = json.loads(out)
     assert code == 3 and payload["status"] == "input-error"
@@ -352,6 +389,18 @@ def test_import_does_not_load_numpy():
     code = "import sys, afkit.cli; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert proc.stdout.strip() == "False"
+
+
+def test_bench_tracer_targets_resolve():
+    # the benchmark's --trace 1 rebinds these names; a missing one breaks tracing
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _ in tracer.FUNCTIONS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    for module, cls, attr, _ in tracer.METHODS:
+        assert hasattr(getattr(importlib.import_module(module), cls), attr), (module, cls, attr)
 
 
 class TestModuliCommand:

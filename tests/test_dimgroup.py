@@ -18,7 +18,8 @@ from afkit.dimgroup import (
     shen_factor,
     unitalize,
 )
-from afkit.findim import af_sequence_violation, car_sequence
+from afkit.bratteli import af_sequence_of_diagram, gen_car
+from afkit.findim import af_sequence_violation
 from afkit.ordgrp import PosMatrix, SimplicialGroup, mat_vec
 
 from helpers import (
@@ -253,11 +254,11 @@ class TestUnitalize:
 
 class TestAFBridge:
     def test_car_round_trip(self):
-        cert = certificate_of_af(car_sequence(4))
+        cert = certificate_of_af(af_sequence_of_diagram(gen_car(4)))
         assert [g.unit for g in cert.stages] == [(1,), (2,), (4,), (8,), (16,)]
         assert all(b.entries == ((2,),) for b in cert.bonds)
         seq = af_of_certificate(cert)
-        assert seq == car_sequence(4)
+        assert seq == af_sequence_of_diagram(gen_car(4))
 
     def test_trivial_tower(self):
         cert = DimCertificate(

@@ -6,13 +6,13 @@ from afkit.elliott import (
     ZigzagWitness,
     build_zigzag,
     intertwine_stage,
-    swap_witness,
     verify_zigzag,
     zigzag_violation,
 )
-from afkit.findim import AlgebraHom, car_sequence, compose_hom
+from afkit.bratteli import af_sequence_of_diagram, gen_car
+from afkit.findim import AlgebraHom
 from afkit.dimgroup import af_of_certificate
-from afkit.ordgrp import PosMatrix, SimplicialGroup
+from afkit.ordgrp import PosMatrix, SimplicialGroup, compose
 
 from helpers import uhf_certificate
 
@@ -49,8 +49,6 @@ class TestIntertwineStage:
         assert t == 1
         assert delta.entries == ((1,),)
         # delta . gamma equals the bond product exactly
-        from afkit.ordgrp import compose
-
         assert compose(delta, gamma) == cert.bond_product(0, t)
 
     def test_precondition_checked(self):
@@ -73,20 +71,18 @@ class TestIntertwineStage:
 
 class TestBuildZigzag:
     def test_self_intertwining(self):
-        car = certificate_of_af(car_sequence(6))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(6)))
         w = build_zigzag(car, car, depth=3)
         assert w.depth == 3
         assert verify_zigzag(w, car, car)
 
     def test_car_vs_telescoped_car(self):
-        car = certificate_of_af(car_sequence(10))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(10)))
         car4 = uhf_certificate(4, 5)
         w = build_zigzag(car, car4, depth=5)
         assert w.depth == 5
         assert verify_zigzag(w, car, car4)
         # the two identity families hold exactly
-        from afkit.ordgrp import compose
-
         for s in range(w.depth):
             f = car.bond_product(w.n_stages[s], w.n_stages[s + 1])
             assert compose(w.betas[s], w.alphas[s]) == f
@@ -94,7 +90,7 @@ class TestBuildZigzag:
             assert compose(w.alphas[s + 1], w.betas[s]) == g
 
     def test_car_vs_three_infinity_stalls(self):
-        car = certificate_of_af(car_sequence(5))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(5)))
         three = uhf_certificate(3, 5)
         w = build_zigzag(car, three, depth=5, budget=50_000)
         assert w is not None and w.depth == 0
@@ -102,21 +98,21 @@ class TestBuildZigzag:
     def test_require_full_raises_with_partial(self):
         from afkit.elliott import StageSearchExhausted
 
-        car = certificate_of_af(car_sequence(5))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(5)))
         three = uhf_certificate(3, 5)
         with pytest.raises(StageSearchExhausted) as err:
             build_zigzag(car, three, depth=5, budget=50_000, require_full=True)
         assert err.value.partial.depth == 0
 
     def test_explicit_seed(self):
-        car = certificate_of_af(car_sequence(6))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(6)))
         w = build_zigzag(car, car, depth=2, seed=(1, PosMatrix(((2,),))))
         assert w.depth == 2
         assert w.m_stages[0] == 1
         assert verify_zigzag(w, car, car)
 
     def test_bad_seed_rejected(self):
-        car = certificate_of_af(car_sequence(6))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(6)))
         with pytest.raises(ValueError):
             build_zigzag(car, car, depth=1, seed=(1, PosMatrix(((3,),))))
 
@@ -135,7 +131,7 @@ class TestBuildZigzag:
     def test_zero_budget_is_unknown_not_seed_not_found(self):
         from afkit.elliott import StageSearchExhausted
 
-        car = certificate_of_af(car_sequence(6))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(6)))
         assert build_zigzag(car, car, depth=2, budget=0) is None
         with pytest.raises(StageSearchExhausted) as err:
             build_zigzag(car, car, depth=2, budget=0, require_full=True)
@@ -143,7 +139,7 @@ class TestBuildZigzag:
         assert "before any seed was tried" in str(err.value)
 
     def test_1200_rounds_without_recursion(self):
-        car = certificate_of_af(car_sequence(1200))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(1200)))
         w = build_zigzag(car, car, depth=1200)
         assert w.depth == 1200
         assert verify_zigzag(w, car, car)
@@ -155,7 +151,7 @@ class TestBuildZigzag:
 
     def test_witness_converts_to_algebra_homs(self):
         # the K0-level identities realize as multiplicity identities of homs
-        car = certificate_of_af(car_sequence(10))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(10)))
         car4 = uhf_certificate(4, 5)
         w = build_zigzag(car, car4, depth=4)
         seqA = af_of_certificate(car)
@@ -166,18 +162,18 @@ class TestBuildZigzag:
             FB = seqB.algebras[w.m_stages[s]]
             sigma = AlgebraHom(FA, FB, w.alphas[s])
             tau = AlgebraHom(FB, FAn, w.betas[s])
-            assert compose_hom(tau, sigma).mult == car.bond_product(
+            assert AlgebraHom(FA, FAn, compose(tau.mult, sigma.mult)).mult == car.bond_product(
                 w.n_stages[s], w.n_stages[s + 1]
             )
 
 
 class TestVerifyZigzag:
     def test_empty_witness(self):
-        car = certificate_of_af(car_sequence(3))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(3)))
         assert verify_zigzag(ZigzagWitness((), (), (), ()), car, car)
 
     def test_corrupted_entry_located(self):
-        car = certificate_of_af(car_sequence(10))
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(10)))
         car4 = uhf_certificate(4, 5)
         w = build_zigzag(car, car4, depth=3)
         bad_alphas = list(w.alphas)
@@ -186,14 +182,6 @@ class TestVerifyZigzag:
         assert not verify_zigzag(bad, car, car4)
         violation = zigzag_violation(bad, car, car4)
         assert violation is not None and "alpha_1" in violation
-
-    def test_swap_produces_reverse_witness(self):
-        car = certificate_of_af(car_sequence(10))
-        car4 = uhf_certificate(4, 5)
-        w = build_zigzag(car, car4, depth=4)
-        sw = swap_witness(w)
-        assert sw.depth == w.depth - 1
-        assert verify_zigzag(sw, car4, car)
 
     def test_shape_mismatch_rejected_at_construction(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,9 @@ from afkit.findim import (
     FinDimAlgebra,
     SizeViolation,
     af_sequence_violation,
-    car_sequence,
-    compose_hom,
-    dim,
-    identity_hom,
     k0,
 )
+from afkit.bratteli import af_sequence_of_diagram, gen_car
 from afkit.ordgrp import PosMatrix, apply, compose
 
 from helpers import random_algebra, random_hom
@@ -27,11 +24,6 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             FinDimAlgebra((0,))
 
-    def test_dim(self):
-        assert dim(FinDimAlgebra((1,))) == 1
-        assert dim(FinDimAlgebra((2, 3))) == 13
-        assert dim(FinDimAlgebra((2, 2))) == 8
-
     def test_k0(self):
         g = k0(FinDimAlgebra((1,)))
         assert (g.rank, g.unit) == (1, (1,))
@@ -40,20 +32,14 @@ class TestAlgebra:
         g = k0(FinDimAlgebra((2, 2)))
         assert (g.rank, g.unit) == (2, (2, 2))
 
-    def test_dim_is_sum_of_squared_unit_components(self):
-        rnd = random.Random(11)
-        for _ in range(50):
-            f = random_algebra(rnd)
-            assert dim(f) == sum(x * x for x in k0(f).unit)
-
 
 class TestHoms:
     def test_k0_hom_is_the_multiplicity_matrix(self):
         # K0 of a hom is its multiplicity matrix, acting on the block-size units
         h = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((2,),)))
         assert h.mult.entries == ((2,),)
-        ident = identity_hom(FinDimAlgebra((2, 3)))
-        assert ident.mult == PosMatrix.identity(2)
+        ident = AlgebraHom(FinDimAlgebra((2, 3)), FinDimAlgebra((2, 3)), PosMatrix.identity(2))
+        assert ident.is_unital()
         h = AlgebraHom(FinDimAlgebra((1,)), FinDimAlgebra((2, 3)), PosMatrix(((2,), (3,))))
         assert h.is_unital()
         assert h.mult.entries == ((2,), (3,))
@@ -71,18 +57,20 @@ class TestHoms:
     def test_compose(self):
         f = AlgebraHom(FinDimAlgebra((1,)), FinDimAlgebra((2,)), PosMatrix(((2,),)))
         g = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((2,),)))
-        assert compose_hom(g, f).mult.entries == ((4,),)
-        ident = identity_hom(FinDimAlgebra((2,)))
-        assert compose_hom(ident, f).mult == f.mult
+        assert AlgebraHom(f.source, g.target, compose(g.mult, f.mult)).mult.entries == ((4,),)
+        ident = AlgebraHom(f.target, f.target, PosMatrix.identity(1))
+        assert AlgebraHom(f.source, f.target, compose(ident.mult, f.mult)).mult == f.mult
 
         split = AlgebraHom(FinDimAlgebra((1,)), FinDimAlgebra((1, 1)), PosMatrix(((1,), (1,))))
         merge = AlgebraHom(FinDimAlgebra((1, 1)), FinDimAlgebra((2,)), PosMatrix(((1, 1),)))
-        assert compose_hom(merge, split).mult.entries == ((2,),)
+        merged = AlgebraHom(split.source, merge.target, compose(merge.mult, split.mult))
+        assert merged.mult.entries == ((2,),)
 
     def test_compose_requires_chain(self):
+        # f . f does not chain (f.target != f.source): its multiplicities overflow
         f = AlgebraHom(FinDimAlgebra((1,)), FinDimAlgebra((2,)), PosMatrix(((2,),)))
-        with pytest.raises(ValueError):
-            compose_hom(f, f)
+        with pytest.raises(SizeViolation):
+            AlgebraHom(f.source, f.target, compose(f.mult, f.mult))
 
     def test_unital_injective_flags(self):
         h = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((2,),)))
@@ -104,7 +92,8 @@ class TestHoms:
         for _ in range(100):
             f = random_hom(rnd, random_algebra(rnd), unital=bool(rnd.getrandbits(1)))
             g = random_hom(rnd, f.target, unital=bool(rnd.getrandbits(1)))
-            assert compose_hom(g, f).mult == compose(g.mult, f.mult)
+            gf = compose(g.mult, f.mult)
+            assert AlgebraHom(f.source, g.target, gf).mult == gf  # the composite fits g.target
 
     def test_unit_tracking(self):
         rnd = random.Random(7)
@@ -115,7 +104,7 @@ class TestHoms:
 
 class TestAFSequence:
     def test_car_prefix_valid(self):
-        seq = car_sequence(2)
+        seq = af_sequence_of_diagram(gen_car(2))
         assert [f.summands for f in seq.algebras] == [(1,), (2,), (4,)]
         assert af_sequence_violation(seq) is None
 

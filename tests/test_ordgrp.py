@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +8,6 @@ from afkit.ordgrp import (
     apply,
     compose,
     convex_basis,
-    convex_member,
-    is_order_unit,
     restrict_to_convex,
     vector,
 )
@@ -41,12 +37,6 @@ class TestPosMatrix:
     def test_rejects_non_int(self):
         with pytest.raises(TypeError):
             PosMatrix(((1.5,),))
-
-    def test_permutation_detection(self):
-        assert PosMatrix(((0, 1), (1, 0))).is_permutation()
-        assert PosMatrix(((0, 1), (1, 0))).permutation() == (1, 0)
-        assert not PosMatrix(((1, 1), (0, 1))).is_permutation()
-        assert not PosMatrix(((2,),)).is_permutation()
 
 
 class TestCompose:
@@ -92,63 +82,26 @@ class TestApply:
 
 class TestOrderUnit:
     def test_all_ones(self):
-        assert is_order_unit((1, 1))
+        assert SimplicialGroup(2, (1, 1)).has_strict_unit()
 
     def test_zero_component_fails(self):
         # g = (1, 0) admits no n with n*u >= g when u = (0, 1)
-        assert not is_order_unit((0, 1))
+        assert not SimplicialGroup(2, (0, 1)).has_strict_unit()
 
     def test_componentwise_bound(self):
-        assert is_order_unit((3, 2, 7))
+        assert SimplicialGroup(3, (3, 2, 7)).has_strict_unit()
 
 
 class TestConvex:
-    def test_supported_component(self):
-        assert convex_member((1, 0), (5, 0))
-
-    def test_unsupported_component(self):
-        assert not convex_member((1, 0), (0, 1))
-
-    def test_zero_element(self):
-        assert convex_member((2, 3), (0, 0))
-
-    def test_rejects_zero_generator(self):
-        with pytest.raises(ValueError):
-            convex_member((0, 0), (1, 0))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            convex_member((1, 0), (1, 0, 0))
-
     def test_basis_examples(self):
         assert convex_basis((2, 0, 1)) == (1, 3)
         assert convex_basis((0, 0)) == ()
         assert convex_basis((1, 1, 1)) == (1, 2, 3)
 
-    def test_membership_closed_under_sum_and_between(self):
-        # exhaustive check of convexity on a small window
-        x = (2, 0, 1)
-        window = range(-3, 4)
-        members = [
-            g
-            for g in itertools.product(window, repeat=3)
-            if convex_member(x, g)
-        ]
-        for g in members:
-            for h in members:
-                total = tuple(a + b for a, b in zip(g, h))
-                if all(abs(t) <= 3 for t in total):
-                    assert convex_member(x, total)
-        for g in members:
-            for h in members:
-                for between in itertools.product(window, repeat=3):
-                    if all(a <= m <= b for a, m, b in zip(g, between, h)):
-                        assert convex_member(x, between)
-
     def test_full_basis_is_order_unit(self):
         u = (2, 1, 4)
         assert convex_basis(u) == (1, 2, 3)
-        assert is_order_unit(u)
+        assert SimplicialGroup(3, u).has_strict_unit()
 
 
 class TestRestrictToConvex:

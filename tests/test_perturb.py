@@ -14,7 +14,6 @@ from afkit.perturb import (
     Delta3,
     Delta4,
     DeltaGlimm,
-    MultiplicityMismatch,
     PerturbationPreconditionError,
     _least_power_below,
     canonical_matrix_units,
@@ -33,7 +32,6 @@ from afkit.perturb import (
     nearby_unitary,
     operator_norm,
     square_partitions,
-    unitary_intertwiner,
 )
 
 # -- independent re-derivations of the displayed recursions ------------------
@@ -168,6 +166,15 @@ class TestMatrixUnits:
     def test_single_block(self):
         sys1 = canonical_matrix_units(FinDimAlgebra((1,)))
         assert sys1.dim == 1 and defect(sys1) == 0.0
+
+    def test_embedded_multi_block_realization(self):
+        hom = AlgebraHom(
+            FinDimAlgebra((1, 2)), FinDimAlgebra((2, 3)), PosMatrix(((2, 0), (1, 1)))
+        )
+        r = embedded_matrix_units(hom)
+        assert r.unital and defect(r) <= 1e-12
+        # the corner e^s_{0,0} has rank equal to block s's total multiplicity
+        assert [round(np.trace(r.unit(s, 0, 0)).real) for s in range(2)] == [3, 1]
 
     def test_two_by_two_block(self):
         sys2 = canonical_matrix_units(FinDimAlgebra((2,)))
@@ -304,91 +311,7 @@ class TestGlimm:
             report = glimm_demo((1, 2), 4, seed=seed)
             assert report["pass"], report
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            glimm_demo((2,), -1, seed=0)
 
-class TestUnitaryIntertwiner:
-    def _realization(self, mult: int = 2):
-        hom = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((mult,),)))
-        return embedded_matrix_units(hom)
-
-    def test_identical_realizations(self):
-        r = self._realization()
-        u = unitary_intertwiner(r, r)
-        assert operator_norm(u.conj().T @ u - np.eye(4)) <= 1e-8
-        for s, n in enumerate(r.sizes):
-            for i in range(n):
-                for j in range(n):
-                    assert (
-                        operator_norm(u @ r.unit(s, i, j) @ u.conj().T - r.unit(s, i, j)) <= 1e-8
-                    )
-
-    def test_conjugated_realization(self):
-        r1 = self._realization()
-        rng = np.random.default_rng(17)
-        w = haar_unitary(4, rng)
-        r2 = conjugate_system(r1, w)
-        u = unitary_intertwiner(r1, r2)
-        assert operator_norm(u.conj().T @ u - np.eye(4)) <= 1e-8
-        worst = max(
-            operator_norm(u @ r1.unit(s, i, j) @ u.conj().T - r2.unit(s, i, j))
-            for s, n in enumerate(r1.sizes)
-            for i in range(n)
-            for j in range(n)
-        )
-        assert worst <= 1e-8
-
-    def test_multiplicity_mismatch(self):
-        r1 = self._realization(mult=2)
-        corner_hom = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((1,),)))
-        r2 = embedded_matrix_units(corner_hom)
-        with pytest.raises(MultiplicityMismatch):
-            unitary_intertwiner(r1, r2)
-
-    def test_multi_block_conjugation(self):
-        hom = AlgebraHom(
-            FinDimAlgebra((1, 2)), FinDimAlgebra((2, 3)), PosMatrix(((2, 0), (1, 1)))
-        )
-        r1 = embedded_matrix_units(hom)
-        rng = np.random.default_rng(23)
-        w = haar_unitary(5, rng)
-        r2 = conjugate_system(r1, w)
-        u = unitary_intertwiner(r1, r2)
-        worst = max(
-            operator_norm(u @ r1.unit(s, i, j) @ u.conj().T - r2.unit(s, i, j))
-            for s, n in enumerate(r1.sizes)
-            for i in range(n)
-            for j in range(n)
-        )
-        assert worst <= 1e-8
-
-    def test_corrects_realizations_of_an_intertwining_round(self):
-        # the K0-level round beta.alpha = bond lifts to algebra homs whose
-        # numeric realizations differ only by a unitary, recovered here
-        from afkit.dimgroup import certificate_of_af, af_of_certificate
-        from afkit.elliott import build_zigzag
-        from afkit.findim import AlgebraHom, car_sequence, compose_hom
-        from helpers import uhf_certificate
-
-        car = certificate_of_af(car_sequence(10))
-        car4 = uhf_certificate(4, 5)
-        zz = build_zigzag(car, car4, depth=3)
-        seqA = af_of_certificate(car)
-        seqB = af_of_certificate(car4)
-        s = 1
-        sigma = AlgebraHom(
-            seqA.algebras[zz.n_stages[s]], seqB.algebras[zz.m_stages[s]], zz.alphas[s]
-        )
-        tau = AlgebraHom(
-            seqB.algebras[zz.m_stages[s]], seqA.algebras[zz.n_stages[s + 1]], zz.betas[s]
-        )
-        round_hom = compose_hom(tau, sigma)
-        r1 = embedded_matrix_units(round_hom)
-        rng = np.random.default_rng(29)
-        r2 = conjugate_system(r1, haar_unitary(r1.dim, rng))
-        u = unitary_intertwiner(r1, r2)
-        worst = max(
-            operator_norm(u @ r1.unit(b, i, j) @ u.conj().T - r2.unit(b, i, j))
-            for b, n in enumerate(r1.sizes)
-            for i in range(n)
-            for j in range(n)
-        )
-        assert worst <= 1e-8

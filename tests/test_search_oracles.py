@@ -12,9 +12,15 @@ from hypothesis import strategies as st
 
 import reference
 from afkit import bratteli, dimgroup, elliott, jsonio
-from afkit.bratteli import LabeledBratteliDiagram, apply_iso, equivalence_search, telescope
+from afkit.bratteli import (
+    LabeledBratteliDiagram,
+    af_sequence_of_diagram,
+    apply_iso,
+    equivalence_search,
+    gen_car,
+    telescope,
+)
 from afkit.dimgroup import DimCertificate, LimitElement, certificate_of_af
-from afkit.findim import car_sequence
 from afkit.ordgrp import PosMatrix, SimplicialGroup
 
 from helpers import random_diagram, random_pos_matrix, uhf_certificate
@@ -152,7 +158,7 @@ PINNED_PARTIALS = {
 def test_partial_zigzag_witnesses_are_pinned_per_budget():
     fib = ((1, 1), (1, 2))
     pairs = {
-        "car8-car4-d4": (certificate_of_af(car_sequence(8)), uhf_certificate(4, 4), 4),
+        "car8-car4-d4": (certificate_of_af(af_sequence_of_diagram(gen_car(8))), uhf_certificate(4, 4), 4),
         "fib6-swap-d6": (_two_vertex_cert(6, fib), _two_vertex_cert(6, fib, swap=True), 6),
     }
     for name, (a, b, depth) in pairs.items():
