@@ -465,8 +465,9 @@ def equivalence_search(
     inequivalence.
 
     Candidates are (n2, m2, pi2) in ascending order, depth first. Every level
-    pair and every label-preserving bijection tried costs one node; pairs
-    whose label multisets differ have no bijection and build no path matrix.
+    pair whose label multisets match, so one path-matrix comparison, and every
+    label-preserving bijection tried costs one node; the other pairs have no
+    bijection, build no path matrix and cost nothing.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -499,11 +500,9 @@ def equivalence_search(
 
     def children(n: int, m: int, pi: tuple) -> Iterator[tuple]:
         for n2 in range(n + 1, T1 + 1):
-            done = m  # level pairs (n2, m+1..done) are paid for
             matches = levels_with.get(keys1[n2], ())
             for m2 in matches[bisect_right(matches, m) :]:
-                charge(m2 - done)
-                done = m2
+                charge(1)
                 p1 = _path_matrix_from(d1, pm1, n, n2).entries
                 p2 = _path_matrix_from(d2, pm2, m, m2).entries
                 rows2 = [tuple(row[c] for c in pi) for row in p2]
@@ -511,7 +510,6 @@ def equivalence_search(
                     d1.levels[n2], d2.levels[m2], lambda r, i: rows2[i] == p1[r], charge
                 ):
                     yield n2, m2, pi2
-            charge(T2 - done)
 
     # frames[k] yields the matched children of chain[k]; a (n, m, pi) whose
     # children are all explored without reaching (T1, T2) goes to dead.

@@ -82,33 +82,72 @@ def _row_solutions(
 ) -> Iterator[tuple]:
     """Nonnegative integer rows x with x @ product_rows == target and x . weights == unit_target.
 
-    weights must be strictly positive, which bounds every coordinate; rows
-    come out in ascending lexicographic order.
+    weights must be nonempty and strictly positive, which bounds every
+    coordinate. An odometer on an explicit stack yields the rows in ascending
+    lexicographic order, with rem the target still unpaid. Three prunings cut
+    only values that have no completion, so the rows and order stay the same:
+    (a) x_j <= min(unit_left // w_j, rem_t // row_jt over row_jt > 0);
+    (b) reach[j] masks the target coordinates rows j.. can raise; none may stay
+        positive outside it, so a t raised by row j and no later row forces
+        x_j = rem_t / row_jt;
+    (c) the last coordinate is solved directly, with no loop for one weight.
     """
     q = len(weights)
-    p = len(target) if target is not None else 0
-    x = [0] * q
-    partial = [0] * p
-
-    def rec(j: int, unit_left: int) -> Iterator[tuple]:
-        if j == q:
-            if unit_left == 0 and (target is None or partial == list(target)):
-                yield tuple(x)
+    if q == 1:
+        v, r = divmod(unit_target, weights[0])
+        if v >= 0 and not r and (target is None or all(c == v * e for c, e in zip(target, product_rows[0]))):
+            yield (v,)
+        return
+    rows = product_rows if target is not None else ((),) * q
+    rem, last = list(target or ()), q - 1
+    reach = [0] * (q + 1)
+    for j in range(last, -1, -1):
+        reach[j] = reach[j + 1]
+        for t, r in enumerate(rows[j]):
+            if r:
+                reach[j] |= 1 << t
+    for t, c in enumerate(rem):
+        if c and not reach[0] >> t & 1:
             return
-        bound = unit_left // weights[j]
-        for val in range(bound + 1):
-            x[j] = val
-            if val and target is not None:
-                for t in range(p):
-                    partial[t] += val * product_rows[j][t]
-            if target is None or all(partial[t] <= target[t] for t in range(p)):
-                yield from rec(j + 1, unit_left - val * weights[j])
-            if val and target is not None:
-                for t in range(p):
-                    partial[t] -= val * product_rows[j][t]
-        x[j] = 0
-
-    yield from rec(0, unit_target)
+    x, top, left = [0] * q, [0] * q, [0] * q
+    j, unit = 0, unit_target
+    while True:
+        # Descend: coordinates j..last-1 take their least usable value.
+        while j < last:
+            lo, hi, later = 0, unit // weights[j], reach[j + 1]
+            for t, r in enumerate(rows[j]):
+                if r:
+                    c = rem[t]
+                    if c // r < hi:
+                        hi = c // r
+                    if not later >> t & 1 and -(-c // r) > lo:
+                        lo = -(-c // r)
+            if lo > hi:
+                break
+            x[j], top[j], left[j] = lo, hi, unit
+            if lo:
+                for t, r in enumerate(rows[j]):
+                    rem[t] -= lo * r
+                unit -= lo * weights[j]
+            j += 1
+        else:
+            v, r = divmod(unit, weights[last])
+            if not r and all(c == v * e for c, e in zip(rem, rows[last])):
+                x[last] = v
+                yield tuple(x)
+        # Advance: the deepest coordinate below j with room takes its next value.
+        j -= 1
+        while j >= 0 and x[j] == top[j]:
+            for t, r in enumerate(rows[j]):
+                rem[t] += x[j] * r
+            j -= 1
+        if j < 0:
+            return
+        x[j] += 1
+        for t, r in enumerate(rows[j]):
+            rem[t] -= r
+        unit = left[j] - x[j] * weights[j]
+        j += 1
 
 
 def _matrix_solutions(

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 
-from afkit.bratteli import LabeledBratteliDiagram
-from afkit.dimgroup import DimCertificate
+from afkit.bratteli import LabeledBratteliDiagram, af_sequence_of_diagram, apply_iso
+from afkit.dimgroup import DimCertificate, certificate_of_af
 from afkit.findim import AFSequence, AlgebraHom, FinDimAlgebra
 from afkit.ordgrp import PosMatrix, SimplicialGroup
 
@@ -138,6 +138,44 @@ def uhf_certificate(multiplier: int, depth: int) -> DimCertificate:
     stages = tuple(SimplicialGroup(1, (multiplier**s,)) for s in range(depth + 1))
     bonds = tuple(PosMatrix(((multiplier,),)) for _ in range(depth))
     return DimCertificate(stages, bonds, unital=True)
+
+
+def wide_diagram(width: int, depth: int, structure_seed: int) -> LabeledBratteliDiagram:
+    """Root, then `depth` levels of `width` equal-label vertices, two edges into each vertex.
+
+    The same structures as the wide-search benchmark's; every level's
+    label-preserving bijections are all of its permutations.
+    """
+    rnd = random.Random(structure_seed)
+    levels = [(1,), (1,) * width]
+    edges = [PosMatrix(tuple((1,) for _ in range(width)))]
+    for _ in range(depth - 1):
+        while True:
+            rows = []
+            for _ in range(width):
+                row = [0] * width
+                for _ in range(2):
+                    row[rnd.randrange(width)] += 1
+                rows.append(tuple(row))
+            if all(any(r[j] for r in rows) for j in range(width)):
+                break
+        edges.append(PosMatrix(tuple(rows)))
+        levels.append((levels[-1][0] * 2,) * width)
+    return LabeledBratteliDiagram(tuple(levels), tuple(edges), unital=True)
+
+
+def relabel(rnd: random.Random, d: LabeledBratteliDiagram) -> LabeledBratteliDiagram:
+    """A random relabelling of every level; the first of the benchmark's cyclic relabellings."""
+    perms = []
+    for level in d.levels:
+        perm = list(range(len(level)))
+        rnd.shuffle(perm)
+        perms.append(perm)
+    return apply_iso(d, perms)
+
+
+def certificate_of_diagram(d: LabeledBratteliDiagram) -> DimCertificate:
+    return certificate_of_af(af_sequence_of_diagram(d))
 
 
 def random_planted_shen_instance(rnd: random.Random):

@@ -1,13 +1,16 @@
 """Slow reference versions of the depth-walking searches and queries.
 
 Each one is the direct, unoptimized form of a library routine: every
-label-preserving bijection enumerated and tested in turn, every stage pushed
+label-preserving bijection enumerated and tested in turn, every row of a
+zigzag stage map found by a plain recursive odometer, every stage pushed
 from the element's own stage, exact path-count products for reachability.
 Tests compare the library against them output for output, so a faster
 library may change how it works but never what it returns.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Optional, Sequence
 
 from afkit.bratteli import (
     EquivalenceWitness,
@@ -17,6 +20,43 @@ from afkit.bratteli import (
 )
 from afkit.dimgroup import Verdict3, push
 from afkit.ordgrp import PosMatrix, compose
+
+
+def row_solutions(
+    product_rows: Optional[Sequence[Sequence[int]]],
+    target: Optional[Sequence[int]],
+    weights: Sequence[int],
+    unit_target: int,
+) -> Iterator[tuple]:
+    """Nonnegative integer rows x with x @ product_rows == target and x . weights == unit_target.
+
+    weights must be strictly positive, which bounds every coordinate; rows
+    come out in ascending lexicographic order.
+    """
+    q = len(weights)
+    p = len(target) if target is not None else 0
+    x = [0] * q
+    partial = [0] * p
+
+    def rec(j: int, unit_left: int) -> Iterator[tuple]:
+        if j == q:
+            if unit_left == 0 and (target is None or partial == list(target)):
+                yield tuple(x)
+            return
+        bound = unit_left // weights[j]
+        for val in range(bound + 1):
+            x[j] = val
+            if val and target is not None:
+                for t in range(p):
+                    partial[t] += val * product_rows[j][t]
+            if target is None or all(partial[t] <= target[t] for t in range(p)):
+                yield from rec(j + 1, unit_left - val * weights[j])
+            if val and target is not None:
+                for t in range(p):
+                    partial[t] -= val * product_rows[j][t]
+        x[j] = 0
+
+    yield from rec(0, unit_target)
 
 
 def label_bijections(a, b):
@@ -42,7 +82,7 @@ def label_bijections(a, b):
 
 
 def equivalence_search(d1, d2, budget=100_000):
-    """Equivalence search spending one node per level pair and per bijection tried.
+    """Equivalence search spending one node per label-matched level pair and per bijection tried.
 
     Returns (witness or None, nodes spent). Assumes consistent unital inputs.
     """
@@ -61,6 +101,8 @@ def equivalence_search(d1, d2, budget=100_000):
             return None
         for n2 in range(n + 1, T1 + 1):
             for m2 in range(m + 1, T2 + 1):
+                if sorted(d1.levels[n2]) != sorted(d2.levels[m2]):
+                    continue
                 if left[0] <= 0:
                     return None
                 left[0] -= 1

@@ -381,12 +381,21 @@ class TestEquivalence:
         assert equivalence_search(d, t, budget=1) is None
 
     def test_deep_pair_without_recursion(self):
-        # 1200 matched levels deep, and about 720k of the 1M nodes spent
+        # 1200 matched levels deep
         d = gen_car(2400)
         t = telescope(d, range(0, 2401, 2))
         w = equivalence_search(d, t, budget=1_000_000)
         assert w is not None
         assert replay_equivalence(w, d, t)
+
+    def test_deep_pair_within_the_default_budget(self):
+        # one node per label-matched level pair and one per bijection: 2401 in all
+        d = gen_car(2400)
+        t = telescope(d, range(0, 2401, 2))
+        w = equivalence_search(d, t)
+        assert w is not None
+        assert replay_equivalence(w, d, t)
+        assert equivalence_search(d, t, budget=2400) is None
 
     def test_requires_unital(self):
         d = random_diagram(random.Random(32))

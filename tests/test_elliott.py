@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from afkit.dimgroup import DimCertificate, LimitHom, certificate_of_af
 from afkit.elliott import (
     SeedNotFound,
     ZigzagWitness,
+    _row_solutions,
     build_zigzag,
     intertwine_stage,
     verify_zigzag,
@@ -14,7 +17,7 @@ from afkit.findim import AlgebraHom
 from afkit.dimgroup import af_of_certificate
 from afkit.ordgrp import PosMatrix, SimplicialGroup, compose
 
-from helpers import uhf_certificate
+from helpers import certificate_of_diagram, relabel, uhf_certificate, wide_diagram
 
 
 def collapse_cert():
@@ -127,6 +130,20 @@ class TestBuildZigzag:
         for budget in (0, 100_000):
             with pytest.raises(SeedNotFound):
                 build_zigzag(left, right, depth=1, budget=budget)
+
+    def test_rank_five_relabelling(self):
+        # width 5 with equal labels: every row of a stage map has many candidates
+        d = wide_diagram(5, 4, 5)
+        a = certificate_of_diagram(d)
+        b = certificate_of_diagram(relabel(random.Random(0), d))
+        w = build_zigzag(a, b, depth=4)
+        assert w.depth == 4
+        assert verify_zigzag(w, a, b)
+
+    def test_row_solutions_without_recursion(self):
+        # 1500 coordinates, one per unit vector
+        assert len(list(_row_solutions(None, None, [1] * 1500, 1))) == 1500
+        assert len(list(_row_solutions([[1]] * 1500, [1], [1] * 1500, 1))) == 1500
 
     def test_zero_budget_is_unknown_not_seed_not_found(self):
         from afkit.elliott import StageSearchExhausted

@@ -23,7 +23,14 @@ from afkit.bratteli import (
 from afkit.dimgroup import DimCertificate, LimitElement, certificate_of_af
 from afkit.ordgrp import PosMatrix, SimplicialGroup
 
-from helpers import random_diagram, random_pos_matrix, uhf_certificate
+from helpers import (
+    certificate_of_diagram,
+    random_diagram,
+    random_pos_matrix,
+    relabel,
+    uhf_certificate,
+    wide_diagram,
+)
 
 
 def random_unital_diagram(rnd: random.Random, depth: int, max_width: int = 4) -> LabeledBratteliDiagram:
@@ -41,15 +48,6 @@ def random_unital_diagram(rnd: random.Random, depth: int, max_width: int = 4) ->
         edges.append(PosMatrix(tuple(rows)))
         levels.append(tuple(sum(e * x for e, x in zip(row, prev)) for row in rows))
     return LabeledBratteliDiagram(tuple(levels), tuple(edges), unital=True)
-
-
-def relabel(rnd: random.Random, d: LabeledBratteliDiagram) -> LabeledBratteliDiagram:
-    perms = []
-    for level in d.levels:
-        perm = list(range(len(level)))
-        rnd.shuffle(perm)
-        perms.append(perm)
-    return apply_iso(d, perms)
 
 
 def random_pair(seed: int) -> tuple:
@@ -129,6 +127,34 @@ def test_simplicity_window_matches_exact_products(seed):
     assert bratteli.simplicity_window(d) == reference.simplicity_window(d)
 
 
+@st.composite
+def row_problems(draw):
+    """Inputs of _row_solutions around a planted solution, some made infeasible."""
+    q, p = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=p, max_size=p), min_size=q, max_size=q))
+    zero_row, zero_col = draw(st.none() | st.integers(0, q - 1)), draw(st.none() | st.integers(0, p - 1))
+    rows = tuple(
+        tuple(0 if i == zero_row or t == zero_col else e for t, e in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+    weights = draw(st.lists(st.integers(1, 3), min_size=q, max_size=q))
+    x = draw(st.lists(st.integers(0, 2), min_size=q, max_size=q))
+    target = [sum(x[i] * rows[i][t] for i in range(q)) for t in range(p)]
+    unit = sum(xi * w for xi, w in zip(x, weights))
+    kind = draw(st.sampled_from(("planted", "target-off", "unit-off", "no-target")))
+    if kind == "target-off":
+        target[draw(st.integers(0, p - 1))] += draw(st.sampled_from((-1, 1)))
+    elif kind == "unit-off":
+        unit += draw(st.sampled_from((-1, 1)))
+    return rows, None if kind == "no-target" else tuple(target), tuple(weights), unit
+
+
+@settings(max_examples=1000, deadline=None)
+@given(row_problems())
+def test_row_solutions_match_the_recursive_odometer(problem):
+    assert list(elliott._row_solutions(*problem)) == list(reference.row_solutions(*problem))
+
+
 def _two_vertex_cert(depth: int, edge: tuple, swap: bool = False) -> DimCertificate:
     levels = [(1, 1)]
     for _ in range(depth):
@@ -142,7 +168,8 @@ def _two_vertex_cert(depth: int, edge: tuple, swap: bool = False) -> DimCertific
 
 # Partial witnesses of build_zigzag at budgets 1..40: the first ten hex digits
 # of the SHA-256 of their canonical JSON, recorded from the recursive search
-# that spent one node per candidate matrix.
+# that spent one node per candidate matrix. The rank-4 pair was recorded from
+# the recursive row enumerator, together with its full witness.
 PINNED_PARTIALS = {
     "car8-car4-d4": (
         "1086b033fe 1086b033fe 7c10ae2862 7c10ae2862 7095ebcab5 7095ebcab5 9bf73fde05 9bf73fde05 "
@@ -152,18 +179,29 @@ PINNED_PARTIALS = {
         "1090dfa7a8 1090dfa7a8 1090dfa7a8 6262d90d72 6262d90d72 30ccd3feef 30ccd3feef 99296037cd "
         "99296037cd 8eab1c76f0 8eab1c76f0 87c365dfce 87c365dfce " + "f9e164a7f3 " * 27
     ),
+    "wide4-cyclic-d4": "1086b033fe " * 2 + "66155989b9 " * 35 + "557b35f7a4 " * 3,
 }
+PINNED_FULL = {"wide4-cyclic-d4": "c140d4dd2f"}
+
+
+def _witness_hash(w) -> str:
+    return hashlib.sha256(jsonio.canonical_dumps(jsonio.zigzag_to_obj(w)).encode()).hexdigest()[:10]
 
 
 def test_partial_zigzag_witnesses_are_pinned_per_budget():
     fib = ((1, 1), (1, 2))
+    wide = wide_diagram(4, 4, 5)
     pairs = {
         "car8-car4-d4": (certificate_of_af(af_sequence_of_diagram(gen_car(8))), uhf_certificate(4, 4), 4),
         "fib6-swap-d6": (_two_vertex_cert(6, fib), _two_vertex_cert(6, fib, swap=True), 6),
+        "wide4-cyclic-d4": (
+            certificate_of_diagram(wide),
+            certificate_of_diagram(relabel(random.Random(0), wide)),
+            4,
+        ),
     }
     for name, (a, b, depth) in pairs.items():
-        got = []
-        for budget in range(1, 41):
-            w = elliott.build_zigzag(a, b, depth, budget=budget)
-            got.append(hashlib.sha256(jsonio.canonical_dumps(jsonio.zigzag_to_obj(w)).encode()).hexdigest()[:10])
+        got = [_witness_hash(elliott.build_zigzag(a, b, depth, budget=budget)) for budget in range(1, 41)]
         assert got == PINNED_PARTIALS[name].split(), name
+        if name in PINNED_FULL:
+            assert _witness_hash(elliott.build_zigzag(a, b, depth)) == PINNED_FULL[name], name
