@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .findim import AFSequence, af_sequence_violation, sorted_af_sequence
-from .ordgrp import PosMatrix, apply, chain_product, compose, mat_vec
+from .ordgrp import Budget, OutOfBudget, PosMatrix, apply, chain_product, compose, mat_vec
 
 
 class ConsistencyError(ValueError):
@@ -63,22 +63,6 @@ class LabeledBratteliDiagram:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class TelescopeSpec:
-    """Strictly increasing level selection starting at level 0."""
-
-    stages: tuple
-
-    def __post_init__(self):
-        stages = tuple(self.stages)
-        if not stages or stages[0] != 0:
-            raise ValueError("telescope spec must start at level 0")
-        for a, b in zip(stages, stages[1:]):
-            if b <= a:
-                raise ValueError("telescope spec must be strictly increasing")
-        object.__setattr__(self, "stages", stages)
-
-
 def _check_vertex(diagram: LabeledBratteliDiagram, v) -> tuple:
     level, index = v
     if not 0 <= level < len(diagram.levels) or not 0 <= index < len(diagram.levels[level]):
@@ -106,16 +90,16 @@ def path_matrix(diagram: LabeledBratteliDiagram, k: int, k2: int) -> PosMatrix:
 
 
 def telescope(diagram: LabeledBratteliDiagram, spec) -> LabeledBratteliDiagram:
-    """Select the spec'd levels, replacing edges by path counts between them."""
-    if not isinstance(spec, TelescopeSpec):
-        spec = TelescopeSpec(tuple(spec))
-    if spec.stages[-1] > diagram.depth:
+    """Select the spec'd levels, strictly increasing from level 0, replacing edges by path counts."""
+    stages = tuple(spec)
+    if not stages or stages[0] != 0:
+        raise ValueError("telescope spec must start at level 0")
+    if any(b <= a for a, b in zip(stages, stages[1:])):
+        raise ValueError("telescope spec must be strictly increasing")
+    if stages[-1] > diagram.depth:
         raise ValueError("telescope spec exceeds diagram depth")
-    levels = tuple(diagram.levels[n] for n in spec.stages)
-    edges = tuple(
-        path_matrix(diagram, spec.stages[i], spec.stages[i + 1])
-        for i in range(len(spec.stages) - 1)
-    )
+    levels = tuple(diagram.levels[n] for n in stages)
+    edges = tuple(path_matrix(diagram, a, b) for a, b in zip(stages, stages[1:]))
     return LabeledBratteliDiagram(levels, edges, unital=diagram.unital)
 
 
@@ -388,10 +372,6 @@ def replay_equivalence(
     return left == right
 
 
-class _OutOfBudget(Exception):
-    """The node budget of a search ran out."""
-
-
 def _bijections(a: Sequence[int], b: Sequence[int], row_ok, charge) -> Iterator[tuple]:
     """Label-preserving bijections pi (b[pi[j]] == a[j]) passing row_ok(j, pi[j]) at every j.
 
@@ -469,8 +449,7 @@ def equivalence_search(
     label-preserving bijection tried costs one node; the other pairs have no
     bijection, build no path matrix and cost nothing.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    nodes = Budget(budget)
     for d in (d1, d2):
         if not d.unital:
             raise ValueError("equivalence search needs diagrams marked unital")
@@ -491,23 +470,17 @@ def equivalence_search(
 
     pm1: dict = {}
     pm2: dict = {}
-    budget_left = [budget]
-
-    def charge(nodes: int) -> None:
-        if budget_left[0] < nodes:
-            raise _OutOfBudget
-        budget_left[0] -= nodes
 
     def children(n: int, m: int, pi: tuple) -> Iterator[tuple]:
         for n2 in range(n + 1, T1 + 1):
             matches = levels_with.get(keys1[n2], ())
             for m2 in matches[bisect_right(matches, m) :]:
-                charge(1)
+                nodes.charge()
                 p1 = _path_matrix_from(d1, pm1, n, n2).entries
                 p2 = _path_matrix_from(d2, pm2, m, m2).entries
                 rows2 = [tuple(row[c] for c in pi) for row in p2]
                 for pi2 in _bijections(
-                    d1.levels[n2], d2.levels[m2], lambda r, i: rows2[i] == p1[r], charge
+                    d1.levels[n2], d2.levels[m2], lambda r, i: rows2[i] == p1[r], nodes.charge
                 ):
                     yield n2, m2, pi2
 
@@ -516,7 +489,7 @@ def equivalence_search(
     dead: set = set()
     chain: list = []
     try:
-        for pi0 in _bijections(d1.levels[0], d2.levels[0], lambda r, i: True, charge):
+        for pi0 in _bijections(d1.levels[0], d2.levels[0], lambda r, i: True, nodes.charge):
             chain = [(0, 0, pi0)]
             frames = [] if T1 == T2 == 0 else [children(0, 0, pi0)]
             while frames:
@@ -534,7 +507,7 @@ def equivalence_search(
                     frames.append(children(*step))
             if chain:
                 break
-    except _OutOfBudget:
+    except OutOfBudget:
         return None
     if not chain:
         return None

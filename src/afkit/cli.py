@@ -206,11 +206,12 @@ def cmd_shen(args) -> int:
     cert = jsonio.certificate_from_obj(payload.get("cert"))
     theta = jsonio.limit_hom_from_obj(payload.get("theta"), "theta")
     alpha = jsonio.int_vector_from_obj(payload.get("alpha"), "alpha")
-    try:
-        phi, theta_prime = dimgroup.shen_factor(cert, theta, alpha)
-    except dimgroup.KernelWitnessNotFound as exc:
-        _emit({"status": "unknown", "depth": cert.depth, "reason": str(exc)})
+    factored = dimgroup.shen_factor(cert, theta, alpha)
+    if factored is None:
+        reason = f"theta.matrix @ alpha survives every stage up to depth {cert.depth}"
+        _emit({"status": "unknown", "depth": cert.depth, "reason": reason})
         return EXIT_UNKNOWN
+    phi, theta_prime = factored
     _emit(
         {
             "status": "ok",
@@ -410,9 +411,6 @@ def main(argv=None) -> int:
     except bratteli.ConsistencyError as exc:
         _emit({"status": "refuted", "vertex": list(exc.vertex), "error": str(exc)})
         return EXIT_REFUTED
-    except (elliott.LiftNotFound, elliott.DefectNotKilled, dimgroup.KernelWitnessNotFound) as exc:
-        _emit({"status": "unknown", "reason": str(exc)})
-        return EXIT_UNKNOWN
     except ValueError as exc:  # _InputError, jsonio.SchemaError and library argument errors
         _emit({"status": "input-error", "error": str(exc)})
         return EXIT_INPUT_ERROR

@@ -27,10 +27,6 @@ from .ordgrp import (
 )
 
 
-class KernelWitnessNotFound(ValueError):
-    """No stage within depth kills the planted kernel element."""
-
-
 @dataclass(frozen=True)
 class DimCertificate:
     """Finite tower of simplicial groups with positive bonding matrices.
@@ -134,9 +130,6 @@ class Verdict3:
         if self.status not in ("yes", "unknown"):
             raise ValueError(f"bad verdict status {self.status!r}")
 
-    def is_yes(self) -> bool:
-        return self.status == "yes"
-
 
 def _check_element(cert: DimCertificate, el: LimitElement) -> None:
     if el.stage > cert.depth:
@@ -199,12 +192,13 @@ def positive_at_depth(cert: DimCertificate, a: LimitElement) -> Verdict3:
     return Verdict3("unknown", cert.depth) if found is None else Verdict3("yes", found[0])
 
 
-def shen_factor(cert: DimCertificate, theta: LimitHom, alpha: Sequence[int]):
+def shen_factor(cert: DimCertificate, theta: LimitHom, alpha: Sequence[int]) -> Optional[tuple]:
     """Factor a positive limit hom through a stage that kills alpha.
 
     Pushes theta forward until theta.matrix @ alpha dies, then returns the
     pushed matrix phi (so phi @ alpha = 0) together with theta' represented by
     the identity at the witness stage, giving theta = theta' o phi exactly.
+    None means unknown: the product survives every stage up to depth.
     """
     if not theta.positive:
         raise ValueError("shen_factor needs a positive limit hom")
@@ -218,9 +212,7 @@ def shen_factor(cert: DimCertificate, theta: LimitHom, alpha: Sequence[int]):
     w = tuple((x,) for x in mat_vec(theta.matrix, al))
     found = first_stage(cert, theta.stage, w, is_zero)
     if found is None:
-        raise KernelWitnessNotFound(
-            f"theta.matrix @ alpha survives every stage up to depth {cert.depth}"
-        )
+        return None
     stage = found[0]
     phi = compose(cert.bond_product(theta.stage, stage), PosMatrix(theta.matrix))
     theta_prime = LimitHom(

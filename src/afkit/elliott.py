@@ -16,19 +16,11 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .dimgroup import DimCertificate, LimitElement, LimitHom, eq_at_depth, first_stage, is_nonneg, is_zero
-from .ordgrp import PosMatrix, apply, compose, mat_mul, mat_vec
+from .ordgrp import Budget, OutOfBudget, PosMatrix, apply, compose, mat_mul, mat_vec
 
 
 class SeedNotFound(ValueError):
     """No positive unit-preserving starting map exists at any stage pair."""
-
-
-class StageSearchExhausted(RuntimeError):
-    """Search budget or stage supply ran out before the requested depth."""
-
-    def __init__(self, message: str, partial: Optional["ZigzagWitness"]):
-        super().__init__(message)
-        self.partial = partial
 
 
 class LiftNotFound(ValueError):
@@ -62,7 +54,9 @@ class ZigzagWitness:
         m = tuple(self.m_stages)
         a = tuple(self.alphas)
         b = tuple(self.betas)
-        if len(n) != len(a) or len(m) != len(a) or len(b) != max(len(a) - 1, 0):
+        if not a:
+            raise ValueError("witness needs the seed map alpha_0")
+        if len(n) != len(a) or len(m) != len(a) or len(b) != len(a) - 1:
             raise ValueError("witness arrays have inconsistent lengths")
         object.__setattr__(self, "n_stages", n)
         object.__setattr__(self, "m_stages", m)
@@ -174,17 +168,6 @@ def _matrix_solutions(
         yield PosMatrix(tuple(combo))
 
 
-class _Budget:
-    def __init__(self, nodes: int):
-        self.left = nodes
-
-    def spend(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
-
-
 def intertwine_stage(
     cert: DimCertificate,
     mu: LimitHom,
@@ -215,7 +198,7 @@ def intertwine_stage(
         basis = tuple(1 if i == j else 0 for i in range(cert.rank(r)))
         through_mu = mat_vec(mu.matrix, gamma.column(j))
         verdict = eq_at_depth(cert, LimitElement(r, basis), LimitElement(mu.stage, through_mu))
-        if not verdict.is_yes():
+        if verdict.status != "yes":
             raise ValueError(f"nu_r = mu . gamma not witnessed at depth on basis vector {j + 1}")
 
     start = max(mu.stage, min_stage if min_stage is not None else mu.stage)
@@ -242,46 +225,24 @@ def build_zigzag(
     certA: DimCertificate,
     certB: DimCertificate,
     depth: int,
-    seed: Optional[tuple] = None,
     budget: int = 100_000,
-    require_full: bool = False,
 ) -> Optional[ZigzagWitness]:
     """Search for an intertwining witness with the requested number of rounds.
 
     Both certificates must be unital. The witness starts at stage 0 of tower A
-    with a unit-preserving seed alpha_0, supplied as (m0, matrix) or searched
-    for. Candidates are explored in ascending lexicographic order (stage, then
-    row-major entries), so the result is the least witness under that order.
-    When the stage supply or the node budget runs out before the requested
-    depth, the deepest partial witness found is returned (None when the budget
-    ran out before any seed was tried), or, with require_full,
-    StageSearchExhausted carrying it is raised; raises SeedNotFound when not
-    even alpha_0 exists.
+    with a unit-preserving seed alpha_0. Candidates are explored in ascending
+    lexicographic order (stage, then row-major entries), so the result is the
+    least witness under that order. Every seed, beta and alpha tried costs one
+    budget node. Returns the full witness; or, when the stage supply or the
+    budget runs out first, the deepest partial witness found, or None when the
+    budget ran out before any seed was tried. Short of depth means unknown.
+    Raises SeedNotFound when not even alpha_0 exists.
     """
     if not (certA.unital and certB.unital):
         raise ValueError("build_zigzag needs unital certificates")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-
-    budget_box = _Budget(budget)
-
-    def seed_candidates() -> Iterator[tuple]:
-        if seed is not None:
-            m0, alpha0 = seed
-            if not 0 <= m0 <= certB.depth:
-                raise ValueError("seed stage out of range")
-            if alpha0.rows != certB.rank(m0) or alpha0.cols != certA.rank(0):
-                raise ValueError("seed alpha has the wrong shape")
-            if apply(alpha0, certA.unit(0)) != certB.unit(m0):
-                raise ValueError("seed alpha is not unit-preserving")
-            yield m0, alpha0
-            return
-        u0 = certA.unit(0)
-        for m0 in range(certB.depth + 1):
-            for alpha0 in _matrix_solutions(None, None, u0, certB.unit(m0)):
-                yield m0, alpha0
+    nodes = Budget(budget)
 
     def candidates(n_cur: int, m_cur: int, alpha_cur: PosMatrix) -> Iterator[tuple]:
         """Next rounds (n, m, alpha, beta) in search order, each alpha and beta paid for.
@@ -292,54 +253,53 @@ def build_zigzag(
         for n_next in range(n_cur + 1, certA.depth + 1):
             f = compose(certA.bonds[n_next - 1], f)
             for beta in _matrix_solutions(alpha_cur, f, certB.unit(m_cur), certA.unit(n_next)):
-                if not budget_box.spend():
-                    return
+                nodes.charge()
                 g = PosMatrix.identity(certB.rank(m_cur))
                 for m_next in range(m_cur + 1, certB.depth + 1):
                     g = compose(certB.bonds[m_next - 1], g)
                     for alpha in _matrix_solutions(beta, g, certA.unit(n_next), certB.unit(m_next)):
-                        if not budget_box.spend():
-                            return
+                        nodes.charge()
                         yield n_next, m_next, alpha, beta
-                    if budget_box.left <= 0:
+                    if not nodes.left:
                         return
 
+    u0 = certA.unit(0)
+    seeds = (
+        (m0, alpha0)
+        for m0 in range(certB.depth + 1)
+        for alpha0 in _matrix_solutions(None, None, u0, certB.unit(m0))
+    )
     best: Optional[ZigzagWitness] = None
-    seed_exists = False
-    for m0, alpha0 in seed_candidates():
-        seed_exists = True
-        if seed is None and not budget_box.spend():
-            break
-        # One path of the search tree (n_stages, m_stages, alphas, betas),
-        # extended and cut back in place; frames[k] yields round k + 1.
-        path = ([0], [m0], [alpha0], [])
-        frames = [candidates(0, m0, alpha0)]
-        while True:
-            if best is None or len(path[3]) > best.depth:
-                best = ZigzagWitness(*path)
-            if len(path[3]) == depth:
-                return ZigzagWitness(*path)
-            step = next(frames[-1], None)
-            while step is None and budget_box.left > 0 and len(frames) > 1:
-                frames.pop()
-                for part in path:
-                    part.pop()
+    try:
+        for m0, alpha0 in seeds:
+            nodes.charge()
+            # One path of the search tree (n_stages, m_stages, alphas, betas),
+            # extended and cut back in place; frames[k] yields round k + 1.
+            path = ([0], [m0], [alpha0], [])
+            frames = [candidates(0, m0, alpha0)]
+            while True:
+                if best is None or len(path[3]) > best.depth:
+                    best = ZigzagWitness(*path)
+                if len(path[3]) == depth:
+                    return ZigzagWitness(*path)
                 step = next(frames[-1], None)
-            if step is None:
+                # A spent search backtracks no further.
+                while step is None and nodes.left > 0 and len(frames) > 1:
+                    frames.pop()
+                    for part in path:
+                        part.pop()
+                    step = next(frames[-1], None)
+                if step is None:
+                    break
+                for part, x in zip(path, step):
+                    part.append(x)
+                frames.append(candidates(*step[:3]))
+            if not nodes.left:
                 break
-            for part, x in zip(path, step):
-                part.append(x)
-            frames.append(candidates(*step[:3]))
-        if budget_box.left <= 0:
-            break
-    if not seed_exists:
+    except OutOfBudget:
+        return best
+    if best is None:
         raise SeedNotFound("no positive unit-preserving seed map exists within the stage supply")
-    if require_full:
-        if best is None:
-            message = f"budget ran out before any seed was tried (requested depth {depth})"
-        else:
-            message = f"search stopped at depth {best.depth} of the requested {depth}"
-        raise StageSearchExhausted(message, best)
     return best
 
 
@@ -347,8 +307,8 @@ def zigzag_violation(
     w: ZigzagWitness, certA: DimCertificate, certB: DimCertificate
 ) -> Optional[str]:
     """First broken invariant of the witness, re-derived by exact arithmetic."""
-    if not w.alphas:
-        return None
+    if not (certA.unital and certB.unital):
+        raise ValueError("zigzag witnesses need unital certificates")
     K = w.depth
     for s in range(K):
         if w.n_stages[s + 1] <= w.n_stages[s]:

@@ -3,7 +3,8 @@
 Group elements are tuples of Python ints (arbitrary precision), and positive
 homomorphisms between simplicial groups are nonnegative integer matrices
 acting on column vectors, so a map Z^n -> Z^p is stored as a p x n matrix.
-Everything here is immutable and exact.
+Everything here is immutable and exact, except Budget, the node counter that
+equivalence_search and build_zigzag spend.
 """
 
 from __future__ import annotations
@@ -132,6 +133,24 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
         raise ValueError("dimension mismatch")
     cols = list(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+class OutOfBudget(Exception):
+    """A bounded search spent its whole node budget."""
+
+
+class Budget:
+    """Nodes left to a bounded search; charge spends them or raises OutOfBudget."""
+
+    def __init__(self, nodes: int):
+        if nodes < 0:
+            raise ValueError("budget must be >= 0")
+        self.left = nodes
+
+    def charge(self, nodes: int = 1) -> None:
+        if self.left < nodes:
+            raise OutOfBudget
+        self.left -= nodes
 
 
 def convex_basis(u: Sequence[int]) -> tuple:

@@ -6,7 +6,6 @@ from afkit.bratteli import (
     ConsistencyError,
     EquivalenceWitness,
     LabeledBratteliDiagram,
-    TelescopeSpec,
     WitnessStep,
     af_sequence_of_diagram,
     apply_iso,
@@ -130,10 +129,10 @@ class TestTelescope:
         assert got.levels == tuple(d.levels[n] for n in spec)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            TelescopeSpec((1, 2))
-        with pytest.raises(ValueError):
-            TelescopeSpec((0, 2, 2))
+        with pytest.raises(ValueError, match="start at level 0"):
+            telescope(gen_car(2), (1, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            telescope(gen_car(2), (0, 2, 2))
         with pytest.raises(ValueError):
             telescope(gen_car(2), (0, 5))
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import afkit
-from afkit import bratteli, dimgroup, jsonio, perturb
+from afkit import bratteli, dimgroup, jsonio, ordgrp, perturb
 from afkit.cli import main
 
 from helpers import uhf_certificate
@@ -251,6 +251,9 @@ class TestSearchCommands:
         path = write(tmp_path, "shen.json", payload)
         code, out = run(capsys, ["shen", path])
         assert code == 2
+        assert out == (
+            '{"depth":1,"reason":"theta.matrix @ alpha survives every stage up to depth 1","status":"unknown"}\n'
+        )
 
     def test_equiv_found_and_unknown(self, capsys, tmp_path):
         car6 = write(tmp_path, "car6.json", jsonio.diagram_to_obj(bratteli.gen_car(6)))
@@ -327,12 +330,29 @@ class TestSearchCommands:
         )
         code, out = run(capsys, ["zigzag", car, car, "--depth", "2", "--budget", "0"])
         assert code == 2
-        payload = json.loads(out)
-        assert payload["status"] == "unknown" and payload["achieved"] is None
+        assert out == '{"achieved":null,"requested":2,"status":"unknown","witness":null}\n'
+
+    def test_zigzag_without_seed_map_is_unknown(self, capsys, tmp_path):
+        # no positive unit-preserving map carries unit (2) to unit 3^m
+        left = dimgroup.DimCertificate(
+            (ordgrp.SimplicialGroup(1, (2,)), ordgrp.SimplicialGroup(1, (4,))),
+            (ordgrp.PosMatrix(((2,),)),),
+            unital=True,
+        )
+        a = write(tmp_path, "a.json", jsonio.certificate_to_obj(left))
+        b = write(tmp_path, "b.json", jsonio.certificate_to_obj(uhf_certificate(3, 2)))
+        code, out = run(capsys, ["zigzag", a, b, "--depth", "1"])
+        assert code == 2
+        assert out == (
+            '{"reason":"no positive unit-preserving seed map exists within the stage supply","status":"unknown"}\n'
+        )
 
 
 CAR3 = jsonio.canonical_dumps(jsonio.diagram_to_obj(bratteli.gen_car(3)))
 CAR3_CERT = jsonio.canonical_dumps(jsonio.certificate_to_obj(uhf_certificate(2, 3)))
+BARE_CERT = '{"bonds":[],"stages":[{"rank":1}]}'
+SEED_WITNESS = '{"alpha":[[[1]]],"beta":[],"mStages":[0],"nStages":[0]}'
+EMPTY_WITNESS = '{"alpha":[],"beta":[],"mStages":[],"nStages":[]}'
 
 
 @pytest.mark.parametrize(
@@ -353,6 +373,8 @@ CAR3_CERT = jsonio.canonical_dumps(jsonio.certificate_to_obj(uhf_certificate(2, 
         (["equiv", "DIAGRAM", "DIAGRAM", "--budget", "-1"], "", "budget must be >= 0"),
         (["perturb-demo", "--k", "-1"], "", "k must be >= 0"),
         (["perturb-demo", "--n", "0"], "", "n must be >= 1"),
+        (["verify-zigzag", "SEED_WITNESS", "BARE_CERT", "BARE_CERT"], "", "need unital certificates"),
+        (["verify-zigzag", "EMPTY_WITNESS", "CERT", "CERT"], "", "needs the seed map alpha_0"),
     ],
     ids=[
         "telescope",
@@ -370,11 +392,19 @@ CAR3_CERT = jsonio.canonical_dumps(jsonio.certificate_to_obj(uhf_certificate(2, 
         "equiv-negative-budget",
         "perturb-demo-negative-k",
         "perturb-demo-zero-n",
+        "verify-zigzag-non-unital",
+        "verify-zigzag-empty-witness",
     ],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv, stdin, named):
     # exit 1 is kept for refutations that name a witness; usage errors are exit 3 too
-    files = {"CERT": CAR3_CERT, "DIAGRAM": CAR3}
+    files = {
+        "CERT": CAR3_CERT,
+        "DIAGRAM": CAR3,
+        "BARE_CERT": BARE_CERT,
+        "SEED_WITNESS": SEED_WITNESS,
+        "EMPTY_WITNESS": EMPTY_WITNESS,
+    }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
@@ -385,10 +415,15 @@ def test_bad_arguments_are_input_errors(capsys, tmp_path, argv, stdin, named):
 
 
 def test_import_does_not_load_numpy():
+    # every CLI process and benchmark worker pays for these imports at start-up
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(afkit.__file__)))
-    code = "import sys, afkit.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert proc.stdout.strip() == "False"
+    for modules, heavy in (
+        ("afkit.cli", ("numpy", "sympy")),
+        ("afkit.bratteli, afkit.dimgroup, afkit.elliott, afkit.jsonio", ("sympy",)),
+    ):
+        code = f"import sys, {modules}; print(sorted(set({heavy!r}) & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert proc.stdout.strip() == "[]", modules
 
 
 def test_bench_tracer_targets_resolve():
