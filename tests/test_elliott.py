@@ -100,6 +100,17 @@ class TestBuildZigzag:
         assert w is not None and w.depth == 0
         assert verify_zigzag(w, car, three)
 
+    def test_require_full_raises_with_partial(self):
+        # A caller that needs every round checks the depth of the result: a
+        # stall comes back as the partial witness, never as an exception.
+        car = certificate_of_af(af_sequence_of_diagram(gen_car(5)))
+        three = uhf_certificate(3, 5)
+        for budget in (50, 50_000):
+            w = build_zigzag(car, three, depth=5, budget=budget)
+            assert w is not None and w.depth < 5
+            assert w.depth == 0 and tuple(w.n_stages) == (0,)
+            assert verify_zigzag(w, car, three)
+
     def test_seed_not_found(self):
         # no positive unit-preserving map from unit (1,1) into unit (3,)
         left = DimCertificate(
