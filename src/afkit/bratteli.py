@@ -1,10 +1,13 @@
 """Labeled Bratteli diagrams as finite-depth data.
 
-A diagram is a sequence of levels (vertex labels) and one edge matrix per gap,
-rows indexed by the deeper level, so telescoping is matrix multiplication from
-the left. Diagrams here are finite prefixes of the infinite objects they
-approximate; every verdict an operation returns is qualified by the depth it
-inspected and never claims anything about levels that were not supplied.
+A diagram is a Tower: a sequence of levels (nonnegative vertex labels) and one
+edge matrix per gap, rows indexed by the deeper level, so telescoping is
+matrix multiplication from the left. The unital flag asserts that labels
+satisfy label(v) = sum_u E(u,v)*label(u) at every non-root vertex, which
+consistency_violation rechecks. Diagrams here are finite prefixes of the
+infinite objects they approximate; every verdict an operation returns is
+qualified by the depth it inspected and never claims anything about levels
+that were not supplied.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .findim import AFSequence, af_sequence_violation, sorted_af_sequence
-from .ordgrp import Budget, OutOfBudget, PosMatrix, apply, chain_product, compose, mat_vec
+from .findim import sorted_tower
+from .ordgrp import Budget, OutOfBudget, PosMatrix, Tower, apply, chain_product, compose, mat_vec
 
 
 class ConsistencyError(ValueError):
@@ -25,52 +28,17 @@ class ConsistencyError(ValueError):
         self.vertex = vertex
 
 
-@dataclass(frozen=True)
-class LabeledBratteliDiagram:
-    """Finite-depth leveled multigraph with nonnegative integer vertex labels.
-
-    edges[k] has one row per level-(k+1) vertex and one column per level-k
-    vertex; the entry is the number of edges between them. The unital flag
-    asserts that labels satisfy label(v) = sum_u E(u,v)*label(u) at every
-    non-root vertex, which consistency_violation rechecks.
-    """
-
-    levels: tuple  # tuple[tuple[int, ...], ...]
-    edges: tuple  # tuple[PosMatrix, ...]
-    unital: bool = False
-
-    def __post_init__(self):
-        levels = tuple(tuple(level) for level in self.levels)
-        edges = tuple(self.edges)
-        if not levels:
-            raise ValueError("diagram needs at least one level")
-        for level in levels:
-            if not level:
-                raise ValueError("levels must be nonempty")
-            for x in level:
-                if not isinstance(x, int) or x < 0:
-                    raise ValueError(f"labels must be nonnegative ints, got {x!r}")
-        if len(edges) != len(levels) - 1:
-            raise ValueError("need exactly one edge matrix per gap")
-        for k, e in enumerate(edges):
-            if e.cols != len(levels[k]) or e.rows != len(levels[k + 1]):
-                raise ValueError(f"edge matrix at gap {k} does not match the level sizes")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def depth(self) -> int:
-        return len(self.edges)
+LabeledBratteliDiagram = Tower  # the name the benchmark builds diagrams under
 
 
-def _check_vertex(diagram: LabeledBratteliDiagram, v) -> tuple:
+def _check_vertex(diagram: Tower, v) -> tuple:
     level, index = v
     if not 0 <= level < len(diagram.levels) or not 0 <= index < len(diagram.levels[level]):
         raise ValueError(f"vertex {v!r} out of range")
     return level, index
 
 
-def path_count(diagram: LabeledBratteliDiagram, u, v) -> int:
+def path_count(diagram: Tower, u, v) -> int:
     """Number of downward paths from u to v (0 when v is not strictly deeper)."""
     lu, iu = _check_vertex(diagram, u)
     lv, iv = _check_vertex(diagram, v)
@@ -78,18 +46,18 @@ def path_count(diagram: LabeledBratteliDiagram, u, v) -> int:
         return 0
     counts = tuple(int(j == iu) for j in range(len(diagram.levels[lu])))
     for k in range(lu, lv):
-        counts = mat_vec(diagram.edges[k].entries, counts)
+        counts = mat_vec(diagram.bonds[k].entries, counts)
     return counts[iv]
 
 
-def path_matrix(diagram: LabeledBratteliDiagram, k: int, k2: int) -> PosMatrix:
+def path_matrix(diagram: Tower, k: int, k2: int) -> PosMatrix:
     """Edge-matrix product over the gap [k, k2]; entry (i,j) counts paths (k,j) -> (k2,i)."""
     if not 0 <= k <= k2 <= diagram.depth:
         raise ValueError(f"levels out of range: {k} -> {k2}")
-    return chain_product(diagram.edges, k, k2, len(diagram.levels[k]))
+    return chain_product(diagram.bonds, k, k2, diagram.ranks[k])
 
 
-def telescope(diagram: LabeledBratteliDiagram, spec) -> LabeledBratteliDiagram:
+def telescope(diagram: Tower, spec) -> Tower:
     """Select the spec'd levels, strictly increasing from level 0, replacing edges by path counts."""
     stages = tuple(spec)
     if not stages or stages[0] != 0:
@@ -100,16 +68,16 @@ def telescope(diagram: LabeledBratteliDiagram, spec) -> LabeledBratteliDiagram:
         raise ValueError("telescope spec exceeds diagram depth")
     levels = tuple(diagram.levels[n] for n in stages)
     edges = tuple(path_matrix(diagram, a, b) for a, b in zip(stages, stages[1:]))
-    return LabeledBratteliDiagram(levels, edges, unital=diagram.unital)
+    return Tower(levels, edges, unital=diagram.unital)
 
 
-def consistency_violation(diagram: LabeledBratteliDiagram) -> Optional[tuple]:
+def consistency_violation(diagram: Tower) -> Optional[tuple]:
     """First vertex breaking the label recursion, or None.
 
     Non-root labels must dominate sum_u E(u,v)*label(u), with equality when
     the diagram is marked unital.
     """
-    for k, edge in enumerate(diagram.edges):
+    for k, edge in enumerate(diagram.bonds):
         for i, total in enumerate(apply(edge, diagram.levels[k])):
             have = diagram.levels[k + 1][i]
             if diagram.unital and have != total:
@@ -119,25 +87,14 @@ def consistency_violation(diagram: LabeledBratteliDiagram) -> Optional[tuple]:
     return None
 
 
-def diagram_of_af_sequence(seq: AFSequence) -> LabeledBratteliDiagram:
-    """Standard diagram of an AF sequence: block sizes label the levels, multiplicities are edges."""
-    bad = af_sequence_violation(seq)
-    if bad is not None:
-        raise ValueError(f"invalid AF sequence at stage {bad[0]}: {bad[1]}")
-    levels = tuple(F.summands for F in seq.algebras)
-    edges = tuple(h.mult for h in seq.homs)
-    return LabeledBratteliDiagram(levels, edges, unital=True)
-
-
-def af_sequence_of_diagram(diagram: LabeledBratteliDiagram) -> AFSequence:
+def af_sequence_of_diagram(diagram: Tower) -> Tower:
     """Read an AF sequence back off a unital diagram with positive labels.
 
-    Inverse of diagram_of_af_sequence on its image; levels whose labels are
-    not already ascending are canonicalized by a stable sort. Raises
-    ConsistencyError naming the offending vertex when the labels do not
-    satisfy the exact unital recursion, are not positive, or a vertex below
-    the last level has no outgoing edges (the connecting hom would not be
-    injective).
+    Levels whose labels are not already ascending are canonicalized by a
+    stable sort. Raises ConsistencyError naming the offending vertex when the
+    labels do not satisfy the exact unital recursion, are not positive, or a
+    vertex below the last level has no outgoing edges (the connecting hom
+    would not be injective).
     """
     if not diagram.unital:
         raise ValueError("diagram is not marked unital")
@@ -148,11 +105,11 @@ def af_sequence_of_diagram(diagram: LabeledBratteliDiagram) -> AFSequence:
     bad = consistency_violation(diagram)
     if bad is not None:
         raise ConsistencyError(bad[0], bad[1])
-    for k, edge in enumerate(diagram.edges):
+    for k, edge in enumerate(diagram.bonds):
         for j in range(edge.cols):
             if all(edge.entries[i][j] == 0 for i in range(edge.rows)):
                 raise ConsistencyError((k, j), "no outgoing edges")
-    return sorted_af_sequence(diagram.levels, diagram.edges)
+    return sorted_tower(diagram.levels, diagram.bonds)
 
 
 @dataclass(frozen=True)
@@ -170,7 +127,7 @@ class SimplicityVerdict:
     blocked: Optional[tuple] = None
 
 
-def simplicity_window(diagram: LabeledBratteliDiagram) -> SimplicityVerdict:
+def simplicity_window(diagram: Tower) -> SimplicityVerdict:
     """Check full-connectivity windows for every vertex within depth.
 
     Only whether a path exists matters, so reachability is carried as one
@@ -181,7 +138,7 @@ def simplicity_window(diagram: LabeledBratteliDiagram) -> SimplicityVerdict:
     # succ[k][j]: bitmask of the level-(k+1) vertices with an edge from (k, j)
     succ = [
         [sum(1 << i for i in range(e.rows) if e.entries[i][j]) for j in range(e.cols)]
-        for e in diagram.edges
+        for e in diagram.bonds
     ]
     for n in range(T):
         reach = [1 << j for j in range(len(diagram.levels[n]))]
@@ -202,40 +159,56 @@ def simplicity_window(diagram: LabeledBratteliDiagram) -> SimplicityVerdict:
     return SimplicityVerdict(witnessed=True, depth=T)
 
 
-def supernatural_prefix(diagram: LabeledBratteliDiagram, depth: Optional[int] = None) -> dict:
-    """Prime-exponent map of the product of edge multiplicities up to depth.
+# supernatural_prefix tries every divisor below this bound; a cofactor left
+# below its square is therefore prime.
+TRIAL_DIVISION_BOUND = 100_000
+
+
+def supernatural_prefix(diagram: Tower, depth: Optional[int] = None) -> tuple:
+    """(prime-exponent map, cofactor) of the product of edge multiplicities up to depth.
 
     Only defined for single-vertex levels (telescope first); the result is a
-    finite lower approximation of the supernatural number of the limit.
+    finite lower approximation of the supernatural number of the limit. Each
+    multiplicity is factored by trial division below TRIAL_DIVISION_BOUND, so
+    the work is bounded; what stays unfactored is multiplied into the
+    cofactor. The product equals prod p^e times the cofactor, and the map is
+    complete exactly when the cofactor is 1.
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     gaps = diagram.depth if depth is None else min(depth, diagram.depth)
     for k in range(gaps + 1):
-        if len(diagram.levels[k]) != 1:
-            raise ValueError(f"level {k} has {len(diagram.levels[k])} vertices; telescope first")
-    from sympy import factorint
-
+        if diagram.ranks[k] != 1:
+            raise ValueError(f"level {k} has {diagram.ranks[k]} vertices; telescope first")
     out: dict = {}
+    cofactor = 1
     for k in range(gaps):
-        entry = diagram.edges[k].entries[0][0]
-        if entry == 0:
+        n = diagram.bonds[k].entries[0][0]
+        if n == 0:
             raise ValueError(f"zero edge multiplicity at gap {k}")
-        for p, e in factorint(entry).items():
-            out[int(p)] = out.get(int(p), 0) + int(e)
-    return out
+        p = 2
+        while p < TRIAL_DIVISION_BOUND and p * p <= n:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            p = 3 if p == 2 else p + 2
+        if n >= TRIAL_DIVISION_BOUND**2:
+            cofactor *= n
+        elif n > 1:
+            out[n] = out.get(n, 0) + 1
+    return out, cofactor
 
 
-def gen_car(depth: int) -> LabeledBratteliDiagram:
+def gen_car(depth: int) -> Tower:
     """Doubling tower: one vertex per level, labels 2^s, two edges per gap."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     levels = tuple((2**s,) for s in range(depth + 1))
     edges = tuple(PosMatrix(((2,),)) for _ in range(depth))
-    return LabeledBratteliDiagram(levels, edges, unital=True)
+    return Tower(levels, edges, unital=True)
 
 
-def gen_trace_diagram(halting, depth: int) -> LabeledBratteliDiagram:
+def gen_trace_diagram(halting, depth: int) -> Tower:
     """Diagram tracing a halting table: strands split on stalls, merge on growth.
 
     halting maps inputs to their halting step count (>= 1), with None (or
@@ -283,7 +256,7 @@ def gen_trace_diagram(halting, depth: int) -> LabeledBratteliDiagram:
     labels = [(1,)]  # every edge is simple, so a label is the sum over in-neighbors
     for edge in edges:
         labels.append(apply(edge, labels[-1]))
-    return LabeledBratteliDiagram(tuple(labels), tuple(edges), unital=True)
+    return Tower(tuple(labels), tuple(edges), unital=True)
 
 
 @dataclass(frozen=True)
@@ -324,7 +297,7 @@ class EquivalenceWitness:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-def apply_iso(diagram: LabeledBratteliDiagram, maps: Sequence[Sequence[int]]) -> LabeledBratteliDiagram:
+def apply_iso(diagram: Tower, maps: Sequence[Sequence[int]]) -> Tower:
     """Relabel vertices level by level along the given permutations."""
     if len(maps) != len(diagram.levels):
         raise ValueError("need one permutation per level")
@@ -341,19 +314,19 @@ def apply_iso(diagram: LabeledBratteliDiagram, maps: Sequence[Sequence[int]]) ->
             row[perm[i]] = x
         levels.append(tuple(row))
     edges = []
-    for k, edge in enumerate(diagram.edges):
+    for k, edge in enumerate(diagram.bonds):
         rows = [[0] * edge.cols for _ in range(edge.rows)]
         for r in range(edge.rows):
             for c in range(edge.cols):
                 rows[perms[k + 1][r]][perms[k][c]] = edge.entries[r][c]
         edges.append(PosMatrix(tuple(tuple(r) for r in rows)))
-    return LabeledBratteliDiagram(tuple(levels), tuple(edges), unital=diagram.unital)
+    return Tower(tuple(levels), tuple(edges), unital=diagram.unital)
 
 
 def replay_equivalence(
     witness: EquivalenceWitness,
-    left: LabeledBratteliDiagram,
-    right: LabeledBratteliDiagram,
+    left: Tower,
+    right: Tower,
 ) -> bool:
     """Apply the witness steps and test the two sides for exact equality."""
     try:
@@ -415,22 +388,22 @@ def _bijections(a: Sequence[int], b: Sequence[int], row_ok, charge) -> Iterator[
             j += 1
 
 
-def _path_matrix_from(diagram: LabeledBratteliDiagram, cache: dict, a: int, b: int) -> PosMatrix:
+def _path_matrix_from(diagram: Tower, cache: dict, a: int, b: int) -> PosMatrix:
     """P(a, b) of the diagram, each product one gap beyond the last cached P(a, .)."""
     top = b
     while top > a + 1 and (a, top) not in cache:
         top -= 1
     got = cache.get((a, top))
     if got is None:
-        got = cache[(a, top)] = diagram.edges[a]
+        got = cache[(a, top)] = diagram.bonds[a]
     for k in range(top + 1, b + 1):
-        got = cache[(a, k)] = compose(diagram.edges[k - 1], got)
+        got = cache[(a, k)] = compose(diagram.bonds[k - 1], got)
     return got
 
 
 def equivalence_search(
-    d1: LabeledBratteliDiagram,
-    d2: LabeledBratteliDiagram,
+    d1: Tower,
+    d2: Tower,
     budget: int = 100_000,
 ) -> Optional[EquivalenceWitness]:
     """Search for an exact equivalence witness between two unital diagrams.

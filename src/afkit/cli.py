@@ -51,6 +51,8 @@ def _read_payload(path: str):
         raise _InputError(
             f"malformed JSON in {path or 'stdin'} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise _InputError(f"malformed JSON in {path or 'stdin'}: nested too deeply") from exc
 
 
 def _emit(obj) -> None:
@@ -110,12 +112,10 @@ def cmd_validate(args) -> int:
     if kind == "certificate":
         claims_unital = jsonio.bool_field(payload, "unital")
         cert = jsonio.certificate_from_obj({**payload, "unital": False})
-        if claims_unital:
-            try:
-                dimgroup.DimCertificate(cert.stages, cert.bonds, unital=True)
-            except ValueError as exc:
-                _emit({"status": "refuted", "kind": kind, "reason": str(exc)})
-                return EXIT_REFUTED
+        bad = dimgroup.unit_violation(cert) if claims_unital else None
+        if bad is not None:
+            _emit({"status": "refuted", "kind": kind, "reason": bad})
+            return EXIT_REFUTED
         _emit({"status": "ok", "kind": kind, "depth": cert.depth})
         return EXIT_OK
     getattr(jsonio, f"{kind}_from_obj")(payload)  # algebra, zigzag or equivalence
@@ -126,7 +126,7 @@ def cmd_validate(args) -> int:
 def cmd_k0(args) -> int:
     algebra = jsonio.algebra_from_obj(_read_payload(args.file))
     group = findim.k0(algebra)
-    _emit({"rank": group.rank, "unit": list(group.unit)})
+    _emit({"rank": group.ranks[0], "unit": list(group.levels[0])})
     return EXIT_OK
 
 
@@ -164,14 +164,18 @@ def cmd_simple(args) -> int:
 
 def cmd_supernatural(args) -> int:
     diagram = jsonio.diagram_from_obj(_read_payload(args.file))
-    factors = bratteli.supernatural_prefix(diagram, depth=args.depth)
-    _emit({str(p): e for p, e in sorted(factors.items())})
-    return EXIT_OK
+    factors, cofactor = bratteli.supernatural_prefix(diagram, depth=args.depth)
+    exponents = {str(p): e for p, e in factors.items()}
+    if cofactor == 1:
+        _emit(exponents)
+        return EXIT_OK
+    _emit({"status": "unknown", "factors": exponents, "cofactor": cofactor})
+    return EXIT_UNKNOWN
 
 
 def cmd_af_to_diagram(args) -> int:
     seq = jsonio.sequence_from_obj(_read_payload(args.file))
-    _emit(jsonio.diagram_to_obj(bratteli.diagram_of_af_sequence(seq)))
+    _emit(jsonio.diagram_to_obj(dimgroup.certificate_of_af(seq)))
     return EXIT_OK
 
 

@@ -1,7 +1,9 @@
 """Dimension groups presented as finite towers of simplicial groups.
 
-A certificate is the finite-depth data (ranks, bonds, optional stage units) of
-an inductive system Z^{n_0} -> Z^{n_1} -> ... along positive integer matrices.
+A certificate is a Tower: the finite-depth data (ranks, bonds, optional stage
+units) of an inductive system Z^{n_0} -> Z^{n_1} -> ... along positive integer
+matrices. A certificate marked unital claims a strictly positive unit at
+every stage, transported exactly by the bonds; unit_violation checks it.
 Elements of and maps into the (unbuilt) limit are carried as (stage, vector)
 and (stage, matrix) pairs; equality and positivity in the limit are only
 semidecidable, so the query operations report Yes-with-witness or
@@ -13,68 +15,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .findim import AFSequence, af_sequence_violation, k0, sorted_af_sequence
-from .ordgrp import (
-    PosMatrix,
-    SimplicialGroup,
-    apply,
-    chain_product,
-    compose,
-    mat_mul,
-    mat_vec,
-    restrict_to_convex,
-    vector,
-)
+from .findim import af_sequence_violation, sorted_tower
+from .ordgrp import PosMatrix, Tower, apply, compose, mat_mul, mat_vec, restrict_to_convex, vector
+
+DimCertificate = Tower  # the name the benchmark builds and traces certificates under
 
 
-@dataclass(frozen=True)
-class DimCertificate:
-    """Finite tower of simplicial groups with positive bonding matrices.
+def unit_violation(cert: Tower) -> Optional[str]:
+    """The first break of the unital claim, or None.
 
-    Stage indices run 0..depth; bonds[s] maps stage s to stage s+1. A
-    certificate marked unital carries a strictly positive unit at every stage,
-    transported exactly by the bonds.
+    Every stage needs a strict unit (all components >= 1), and every bond must
+    carry its stage's unit onto the next stage's.
     """
-
-    stages: tuple  # tuple[SimplicialGroup, ...]
-    bonds: tuple  # tuple[PosMatrix, ...]
-    unital: bool = False
-
-    def __post_init__(self):
-        stages = tuple(self.stages)
-        bonds = tuple(self.bonds)
-        if not stages:
-            raise ValueError("certificate needs at least one stage")
-        if len(bonds) != len(stages) - 1:
-            raise ValueError("need exactly one bond per gap")
-        for s, b in enumerate(bonds):
-            if b.cols != stages[s].rank or b.rows != stages[s + 1].rank:
-                raise ValueError(f"bond at gap {s} does not chain the adjacent ranks")
-        if self.unital:
-            for s, grp in enumerate(stages):
-                if not grp.has_strict_unit():
-                    raise ValueError(f"unital certificate needs a strict unit at stage {s}")
-            for s, b in enumerate(bonds):
-                if apply(b, stages[s].unit) != stages[s + 1].unit:
-                    raise ValueError(f"bond at gap {s} does not carry the unit forward")
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "bonds", bonds)
-
-    @property
-    def depth(self) -> int:
-        return len(self.bonds)
-
-    def rank(self, s: int) -> int:
-        return self.stages[s].rank
-
-    def unit(self, s: int):
-        return self.stages[s].unit
-
-    def bond_product(self, s: int, t: int) -> PosMatrix:
-        """Composite bond from stage s to stage t >= s (identity when t == s)."""
-        if not 0 <= s <= t <= self.depth:
-            raise ValueError(f"stages out of range: {s} -> {t}")
-        return chain_product(self.bonds, s, t, self.rank(s))
+    for s, unit in enumerate(cert.levels):
+        if unit is None or not all(unit):
+            return f"unital certificate needs a strict unit at stage {s}"
+    for s, bond in enumerate(cert.bonds):
+        if apply(bond, cert.levels[s]) != cert.levels[s + 1]:
+            return f"bond at gap {s} does not carry the unit forward"
+    return None
 
 
 @dataclass(frozen=True)
@@ -131,14 +90,14 @@ class Verdict3:
             raise ValueError(f"bad verdict status {self.status!r}")
 
 
-def _check_element(cert: DimCertificate, el: LimitElement) -> None:
+def _check_element(cert: Tower, el: LimitElement) -> None:
     if el.stage > cert.depth:
         raise ValueError(f"element stage {el.stage} exceeds certificate depth {cert.depth}")
-    if len(el.vector) != cert.rank(el.stage):
+    if len(el.vector) != cert.ranks[el.stage]:
         raise ValueError("element vector does not match its stage rank")
 
 
-def push(cert: DimCertificate, el: LimitElement, t: int) -> tuple:
+def push(cert: Tower, el: LimitElement, t: int) -> tuple:
     """Representative of el at the later stage t."""
     _check_element(cert, el)
     if not el.stage <= t <= cert.depth:
@@ -157,7 +116,7 @@ def is_nonneg(rows) -> bool:
     return min(map(min, rows)) >= 0
 
 
-def first_stage(cert: DimCertificate, start: int, rows, done: Callable) -> Optional[tuple]:
+def first_stage(cert: Tower, start: int, rows, done: Callable) -> Optional[tuple]:
     """(t, rows pushed to t) for the least t in start..depth with done(pushed), else None.
 
     rows is a raw integer matrix at stage start, pushed one bond per stage.
@@ -170,7 +129,7 @@ def first_stage(cert: DimCertificate, start: int, rows, done: Callable) -> Optio
     return None
 
 
-def eq_at_depth(cert: DimCertificate, a: LimitElement, b: LimitElement) -> Verdict3:
+def eq_at_depth(cert: Tower, a: LimitElement, b: LimitElement) -> Verdict3:
     """Yes with the least common stage where the pushes agree; else unknown.
 
     Never answers no: disagreement at every stage up to depth does not rule
@@ -185,14 +144,14 @@ def eq_at_depth(cert: DimCertificate, a: LimitElement, b: LimitElement) -> Verdi
     return Verdict3("unknown", cert.depth) if found is None else Verdict3("yes", found[0])
 
 
-def positive_at_depth(cert: DimCertificate, a: LimitElement) -> Verdict3:
+def positive_at_depth(cert: Tower, a: LimitElement) -> Verdict3:
     """Yes with the least stage where the push lands in the coordinate cone."""
     _check_element(cert, a)
     found = first_stage(cert, a.stage, tuple((x,) for x in a.vector), is_nonneg)
     return Verdict3("unknown", cert.depth) if found is None else Verdict3("yes", found[0])
 
 
-def shen_factor(cert: DimCertificate, theta: LimitHom, alpha: Sequence[int]) -> Optional[tuple]:
+def shen_factor(cert: Tower, theta: LimitHom, alpha: Sequence[int]) -> Optional[tuple]:
     """Factor a positive limit hom through a stage that kills alpha.
 
     Pushes theta forward until theta.matrix @ alpha dies, then returns the
@@ -204,7 +163,7 @@ def shen_factor(cert: DimCertificate, theta: LimitHom, alpha: Sequence[int]) -> 
         raise ValueError("shen_factor needs a positive limit hom")
     if not 0 <= theta.stage <= cert.depth:
         raise ValueError("theta stage out of range")
-    if len(theta.matrix) != cert.rank(theta.stage):
+    if len(theta.matrix) != cert.ranks[theta.stage]:
         raise ValueError("theta matrix does not match its stage rank")
     al = vector(alpha)
     if len(al) != theta.source_rank:
@@ -217,50 +176,42 @@ def shen_factor(cert: DimCertificate, theta: LimitHom, alpha: Sequence[int]) -> 
     phi = compose(cert.bond_product(theta.stage, stage), PosMatrix(theta.matrix))
     theta_prime = LimitHom(
         stage=stage,
-        matrix=PosMatrix.identity(cert.rank(stage)).entries,
+        matrix=PosMatrix.identity(cert.ranks[stage]).entries,
         positive=True,
     )
     return phi, theta_prime
 
 
-def unitalize(cert: DimCertificate) -> DimCertificate:
+def unitalize(cert: Tower) -> Tower:
     """Cut a unit-carrying tower down to the convex subgroups of its units.
 
     Stage units may have zero components; the result keeps only the
     coordinates where the unit is positive, so its units are strict and it is
     a unital certificate.
     """
-    units = []
-    for s, grp in enumerate(cert.stages):
-        if grp.unit is None:
+    units = cert.levels
+    for s, u in enumerate(units):
+        if u is None:
             raise ValueError(f"stage {s} has no unit")
-        units.append(grp.unit)
     for s, b in enumerate(cert.bonds):
         if apply(b, units[s]) != units[s + 1]:
             raise ValueError(f"bond at gap {s} does not carry the unit forward")
-    new_stages = []
-    for s, u in enumerate(units):
-        kept = [x for x in u if x >= 1]
-        if not kept:
-            raise ValueError(f"unit at stage {s} is zero: empty convex basis")
-        new_stages.append(SimplicialGroup(rank=len(kept), unit=tuple(kept)))
-    new_bonds = tuple(
-        restrict_to_convex(cert.bonds[s], units[s], units[s + 1]) for s in range(cert.depth)
-    )
-    return DimCertificate(tuple(new_stages), new_bonds, unital=True)
+    kept = [tuple(x for x in u if x >= 1) for u in units]
+    if () in kept:
+        raise ValueError(f"unit at stage {kept.index(())} is zero: empty convex basis")
+    bonds = tuple(restrict_to_convex(cert.bonds[s], units[s], units[s + 1]) for s in range(cert.depth))
+    return Tower(tuple(kept), bonds, unital=True)
 
 
-def certificate_of_af(seq: AFSequence) -> DimCertificate:
-    """K0 tower of an AF sequence: ranks, block-size units, multiplicity bonds."""
+def certificate_of_af(seq: Tower) -> Tower:
+    """K0 tower of an AF sequence: the same ranks, bonds and levels, the block sizes as units."""
     bad = af_sequence_violation(seq)
     if bad is not None:
         raise ValueError(f"invalid AF sequence at stage {bad[0]}: {bad[1]}")
-    stages = tuple(k0(F) for F in seq.algebras)
-    bonds = tuple(h.mult for h in seq.homs)
-    return DimCertificate(stages, bonds, unital=True)
+    return Tower(seq.levels, seq.bonds, unital=True)
 
 
-def af_of_certificate(cert: DimCertificate) -> AFSequence:
+def af_of_certificate(cert: Tower) -> Tower:
     """AF sequence whose K0 tower is the given certificate.
 
     Unital certificates round-trip exactly when their stage units are sorted
@@ -270,9 +221,12 @@ def af_of_certificate(cert: DimCertificate) -> AFSequence:
     max(bond @ unit, 1), the minimal deterministic choice dominating the push.
     """
     if cert.unital:
-        units = [cert.unit(s) for s in range(cert.depth + 1)]
+        bad = unit_violation(cert)
+        if bad is not None:
+            raise ValueError(bad)
+        units = cert.levels
     else:
-        units = [tuple([1] * cert.rank(0))]
+        units = [(1,) * cert.ranks[0]]
         for bond in cert.bonds:
             units.append(tuple(max(x, 1) for x in apply(bond, units[-1])))
-    return sorted_af_sequence(units, cert.bonds)
+    return sorted_tower(units, cert.bonds)

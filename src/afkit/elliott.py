@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .dimgroup import DimCertificate, LimitElement, LimitHom, eq_at_depth, first_stage, is_nonneg, is_zero
-from .ordgrp import Budget, OutOfBudget, PosMatrix, apply, compose, mat_mul, mat_vec
+from .dimgroup import LimitElement, LimitHom, eq_at_depth, first_stage, is_nonneg, is_zero, unit_violation
+from .ordgrp import Budget, OutOfBudget, PosMatrix, Tower, apply, compose, mat_mul, mat_vec
 
 
 class SeedNotFound(ValueError):
@@ -169,7 +169,7 @@ def _matrix_solutions(
 
 
 def intertwine_stage(
-    cert: DimCertificate,
+    cert: Tower,
     mu: LimitHom,
     gamma: PosMatrix,
     r: int,
@@ -187,15 +187,15 @@ def intertwine_stage(
     """
     if not 0 <= r <= cert.depth or not 0 <= mu.stage <= cert.depth:
         raise ValueError("stage out of range")
-    if gamma.cols != cert.rank(r):
+    if gamma.cols != cert.ranks[r]:
         raise ValueError("gamma does not start at stage r")
     if gamma.rows != mu.source_rank:
         raise ValueError("gamma target rank does not match mu source rank")
-    if len(mu.matrix) != cert.rank(mu.stage):
+    if len(mu.matrix) != cert.ranks[mu.stage]:
         raise ValueError("mu matrix does not match its stage rank")
 
-    for j in range(cert.rank(r)):
-        basis = tuple(1 if i == j else 0 for i in range(cert.rank(r)))
+    for j in range(cert.ranks[r]):
+        basis = tuple(1 if i == j else 0 for i in range(cert.ranks[r]))
         through_mu = mat_vec(mu.matrix, gamma.column(j))
         verdict = eq_at_depth(cert, LimitElement(r, basis), LimitElement(mu.stage, through_mu))
         if verdict.status != "yes":
@@ -221,9 +221,17 @@ def intertwine_stage(
     return t, PosMatrix(mat_mul(cert.bond_product(t_prime, t).entries, delta0))
 
 
+def _check_unital(message: str, *certs: Tower) -> None:
+    """Reject a certificate not marked unital (with message) or whose unital claim fails."""
+    for cert in certs:
+        bad = unit_violation(cert) if cert.unital else message
+        if bad is not None:
+            raise ValueError(bad)
+
+
 def build_zigzag(
-    certA: DimCertificate,
-    certB: DimCertificate,
+    certA: Tower,
+    certB: Tower,
     depth: int,
     budget: int = 100_000,
 ) -> Optional[ZigzagWitness]:
@@ -238,8 +246,7 @@ def build_zigzag(
     budget ran out before any seed was tried. Short of depth means unknown.
     Raises SeedNotFound when not even alpha_0 exists.
     """
-    if not (certA.unital and certB.unital):
-        raise ValueError("build_zigzag needs unital certificates")
+    _check_unital("build_zigzag needs unital certificates", certA, certB)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     nodes = Budget(budget)
@@ -249,25 +256,25 @@ def build_zigzag(
 
         Stops early once the budget is spent.
         """
-        f = PosMatrix.identity(certA.rank(n_cur))
+        f = PosMatrix.identity(certA.ranks[n_cur])
         for n_next in range(n_cur + 1, certA.depth + 1):
             f = compose(certA.bonds[n_next - 1], f)
-            for beta in _matrix_solutions(alpha_cur, f, certB.unit(m_cur), certA.unit(n_next)):
+            for beta in _matrix_solutions(alpha_cur, f, certB.levels[m_cur], certA.levels[n_next]):
                 nodes.charge()
-                g = PosMatrix.identity(certB.rank(m_cur))
+                g = PosMatrix.identity(certB.ranks[m_cur])
                 for m_next in range(m_cur + 1, certB.depth + 1):
                     g = compose(certB.bonds[m_next - 1], g)
-                    for alpha in _matrix_solutions(beta, g, certA.unit(n_next), certB.unit(m_next)):
+                    for alpha in _matrix_solutions(beta, g, certA.levels[n_next], certB.levels[m_next]):
                         nodes.charge()
                         yield n_next, m_next, alpha, beta
                     if not nodes.left:
                         return
 
-    u0 = certA.unit(0)
+    u0 = certA.levels[0]
     seeds = (
         (m0, alpha0)
         for m0 in range(certB.depth + 1)
-        for alpha0 in _matrix_solutions(None, None, u0, certB.unit(m0))
+        for alpha0 in _matrix_solutions(None, None, u0, certB.levels[m0])
     )
     best: Optional[ZigzagWitness] = None
     try:
@@ -304,11 +311,10 @@ def build_zigzag(
 
 
 def zigzag_violation(
-    w: ZigzagWitness, certA: DimCertificate, certB: DimCertificate
+    w: ZigzagWitness, certA: Tower, certB: Tower
 ) -> Optional[str]:
     """First broken invariant of the witness, re-derived by exact arithmetic."""
-    if not (certA.unital and certB.unital):
-        raise ValueError("zigzag witnesses need unital certificates")
+    _check_unital("zigzag witnesses need unital certificates", certA, certB)
     K = w.depth
     for s in range(K):
         if w.n_stages[s + 1] <= w.n_stages[s]:
@@ -321,15 +327,15 @@ def zigzag_violation(
         return "B-stage selection out of range"
     for s, alpha in enumerate(w.alphas):
         n_s, m_s = w.n_stages[s], w.m_stages[s]
-        if alpha.rows != certB.rank(m_s) or alpha.cols != certA.rank(n_s):
+        if alpha.rows != certB.ranks[m_s] or alpha.cols != certA.ranks[n_s]:
             return f"alpha_{s} has the wrong shape"
-        if apply(alpha, certA.unit(n_s)) != certB.unit(m_s):
+        if apply(alpha, certA.levels[n_s]) != certB.levels[m_s]:
             return f"alpha_{s} is not unit-preserving"
     for s, beta in enumerate(w.betas):
         m_s, n_next = w.m_stages[s], w.n_stages[s + 1]
-        if beta.rows != certA.rank(n_next) or beta.cols != certB.rank(m_s):
+        if beta.rows != certA.ranks[n_next] or beta.cols != certB.ranks[m_s]:
             return f"beta_{s} has the wrong shape"
-        if apply(beta, certB.unit(m_s)) != certA.unit(n_next):
+        if apply(beta, certB.levels[m_s]) != certA.levels[n_next]:
             return f"beta_{s} is not unit-preserving"
     for s in range(K):
         f = certA.bond_product(w.n_stages[s], w.n_stages[s + 1])
@@ -341,6 +347,6 @@ def zigzag_violation(
     return None
 
 
-def verify_zigzag(w: ZigzagWitness, certA: DimCertificate, certB: DimCertificate) -> bool:
+def verify_zigzag(w: ZigzagWitness, certA: Tower, certB: Tower) -> bool:
     """Recheck every witness identity from scratch by exact matrix arithmetic."""
     return zigzag_violation(w, certA, certB) is None

@@ -3,7 +3,9 @@
 An algebra is the direct sum of full matrix blocks M_n over a finite multiset
 of sizes; a *-homomorphism between two such algebras is determined up to
 unitary conjugation by its multiplicity matrix, which is also the induced map
-on scaled K0 groups. Only that exact integer data is kept here.
+on scaled K0 groups. Only that exact integer data is kept here. An AF
+sequence is a Tower whose levels are block sizes in ascending order and whose
+bonds are the multiplicity matrices.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ordgrp import PosMatrix, SimplicialGroup, apply, vector
+from .ordgrp import PosMatrix, Tower, apply
 
 
 class SizeViolation(ValueError):
@@ -37,9 +39,9 @@ class FinDimAlgebra:
         return len(self.summands)
 
 
-def k0(algebra: FinDimAlgebra) -> SimplicialGroup:
-    """Scaled K0 group: Z^k with the block-size vector as order unit."""
-    return SimplicialGroup(rank=len(algebra), unit=vector(algebra.summands))
+def k0(algebra: FinDimAlgebra) -> Tower:
+    """Scaled K0 group: the one-level tower Z^k with the block-size vector as order unit."""
+    return Tower((algebra.summands,), (), unital=True)
 
 
 @dataclass(frozen=True)
@@ -68,64 +70,29 @@ class AlgebraHom:
     def is_unital(self) -> bool:
         return apply(self.mult, self.source.summands) == self.target.summands
 
-    def is_injective(self) -> bool:
-        return all(any(row[j] != 0 for row in self.mult.entries) for j in range(self.mult.cols))
 
-
-@dataclass(frozen=True)
-class AFSequence:
-    """Finite tower of finite-dimensional algebras with connecting homs.
-
-    Only the chaining of sources and targets is enforced at construction;
-    unitality and injectivity of every hom (the conditions for a genuine
-    finite-depth AF presentation) are checked by af_sequence_violation.
-    """
-
-    algebras: tuple  # tuple[FinDimAlgebra, ...]
-    homs: tuple  # tuple[AlgebraHom, ...]
-
-    def __post_init__(self):
-        algebras = tuple(self.algebras)
-        homs = tuple(self.homs)
-        if not algebras:
-            raise ValueError("sequence needs at least one algebra")
-        if len(homs) != len(algebras) - 1:
-            raise ValueError("need exactly one hom per gap")
-        for s, h in enumerate(homs):
-            if h.source != algebras[s] or h.target != algebras[s + 1]:
-                raise ValueError(f"hom at stage {s} does not chain the adjacent algebras")
-        object.__setattr__(self, "algebras", algebras)
-        object.__setattr__(self, "homs", homs)
-
-    @property
-    def depth(self) -> int:
-        return len(self.homs)
-
-
-def af_sequence_violation(seq: AFSequence) -> Optional[tuple]:
-    """First stage with a non-unital or non-injective hom, or None if valid."""
-    for s, h in enumerate(seq.homs):
-        if not h.is_unital():
+def af_sequence_violation(seq: Tower) -> Optional[tuple]:
+    """First gap whose multiplicity matrix is not unital or not injective, or None if valid."""
+    for s, bond in enumerate(seq.bonds):
+        if apply(bond, seq.levels[s]) != seq.levels[s + 1]:
             return (s, "non-unital")
-        if not h.is_injective():
+        if not all(map(any, zip(*bond.entries))):
             return (s, "non-injective")
     return None
 
 
-def sorted_af_sequence(units: Sequence[Sequence[int]], mats: Sequence[PosMatrix]) -> AFSequence:
-    """AF sequence with block sizes units[s] and multiplicity matrices mats[s].
+def sorted_tower(levels: Sequence[Sequence[int]], bonds: Sequence[PosMatrix]) -> Tower:
+    """The AF sequence with block sizes levels[s] and multiplicity matrices bonds[s].
 
     Each level's blocks are put in ascending order by a stable sort, and the
     rows and columns of the matrices are permuted to match.
     """
-    algebras = [FinDimAlgebra(u) for u in units]
-    perms = [sorted(range(len(u)), key=u.__getitem__) for u in units]  # stable: ties keep order
-    homs = [
-        AlgebraHom(
-            algebras[s],
-            algebras[s + 1],
-            PosMatrix(tuple(tuple(m.entries[i][j] for j in perms[s]) for i in perms[s + 1])),
-        )
-        for s, m in enumerate(mats)
-    ]
-    return AFSequence(tuple(algebras), tuple(homs))
+    perms = [sorted(range(len(u)), key=u.__getitem__) for u in levels]  # stable: ties keep order
+    return Tower(
+        tuple(tuple(u[i] for i in p) for u, p in zip(levels, perms)),
+        tuple(
+            PosMatrix(tuple(tuple(m.entries[i][j] for j in perms[s]) for i in perms[s + 1]))
+            for s, m in enumerate(bonds)
+        ),
+        unital=True,
+    )

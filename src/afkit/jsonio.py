@@ -3,7 +3,8 @@
 All numbers are exact ints; rationals travel as "num/den" strings. Encoders
 emit plain dict/list trees; canonical_dumps fixes key order so equal values
 serialize to identical bytes. Decoders validate shape and raise SchemaError
-with the offending path.
+with the offending path. Diagrams, AF sequences and certificates are three
+encodings of one Tower.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .bratteli import EquivalenceWitness, LabeledBratteliDiagram, WitnessStep
-from .dimgroup import DimCertificate, LimitHom
+from .bratteli import EquivalenceWitness, WitnessStep
+from .dimgroup import LimitHom, unit_violation
 from .elliott import ZigzagWitness
-from .findim import AFSequence, AlgebraHom, FinDimAlgebra
-from .ordgrp import PosMatrix, SimplicialGroup
+from .findim import AlgebraHom, FinDimAlgebra
+from .ordgrp import PosMatrix, Tower
 
 
 class SchemaError(ValueError):
@@ -87,33 +88,32 @@ def rational_from_str(text: str, path: str = "eps") -> Fraction:
         raise SchemaError(path, f"not a rational: {text!r}") from exc
 
 
-# -- diagrams ---------------------------------------------------------------
+# -- towers: diagrams, AF sequences and certificates -------------------------
 
 
-def diagram_to_obj(d: LabeledBratteliDiagram) -> dict:
+def _tower(levels, bonds, unital: bool, path: str, ranks=None) -> Tower:
+    try:
+        return Tower(tuple(levels), tuple(bonds), unital=unital, ranks=ranks)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _matrices(o: dict, key: str) -> list:
+    return [matrix_from_obj(m, f"{key}[{i}]") for i, m in enumerate(_expect_list(o.get(key, []), key))]
+
+
+def diagram_to_obj(d: Tower) -> dict:
     return {
         "levels": [list(level) for level in d.levels],
-        "edges": [matrix_to_obj(e) for e in d.edges],
+        "edges": [matrix_to_obj(e) for e in d.bonds],
         "unital": d.unital,
     }
 
 
-def diagram_from_obj(obj) -> LabeledBratteliDiagram:
+def diagram_from_obj(obj) -> Tower:
     o = _expect_dict(obj, "diagram")
     levels = [_int_list(level, f"levels[{i}]") for i, level in enumerate(_expect_list(o.get("levels"), "levels"))]
-    edges = [matrix_from_obj(e, f"edges[{i}]") for i, e in enumerate(_expect_list(o.get("edges", []), "edges"))]
-    unital = bool_field(o, "unital")
-    try:
-        return LabeledBratteliDiagram(tuple(tuple(l) for l in levels), tuple(edges), unital=unital)
-    except ValueError as exc:
-        raise SchemaError("diagram", str(exc)) from exc
-
-
-# -- algebras and sequences -------------------------------------------------
-
-
-def algebra_to_obj(f: FinDimAlgebra) -> dict:
-    return {"summands": list(f.summands)}
+    return _tower(levels, _matrices(o, "edges"), bool_field(o, "unital"), "diagram")
 
 
 def algebra_from_obj(obj, path: str = "algebra") -> FinDimAlgebra:
@@ -122,14 +122,6 @@ def algebra_from_obj(obj, path: str = "algebra") -> FinDimAlgebra:
         return FinDimAlgebra(tuple(_int_list(o.get("summands"), f"{path}.summands")))
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
-
-
-def hom_to_obj(h: AlgebraHom) -> dict:
-    return {
-        "mult": matrix_to_obj(h.mult),
-        "source": algebra_to_obj(h.source),
-        "target": algebra_to_obj(h.target),
-    }
 
 
 def hom_from_obj(obj, path: str = "hom") -> AlgebraHom:
@@ -143,14 +135,18 @@ def hom_from_obj(obj, path: str = "hom") -> AlgebraHom:
         raise SchemaError(path, str(exc)) from exc
 
 
-def sequence_to_obj(seq: AFSequence) -> dict:
-    return {
-        "algebras": [algebra_to_obj(f) for f in seq.algebras],
-        "homs": [hom_to_obj(h) for h in seq.homs],
-    }
+def sequence_to_obj(seq: Tower) -> dict:
+    """The AF encoding of a tower, its levels written as given."""
+    algebras = [{"summands": list(level)} for level in seq.levels]
+    homs = [
+        {"mult": matrix_to_obj(m), "source": algebras[s], "target": algebras[s + 1]}
+        for s, m in enumerate(seq.bonds)
+    ]
+    return {"algebras": algebras, "homs": homs}
 
 
-def sequence_from_obj(obj) -> AFSequence:
+def sequence_from_obj(obj) -> Tower:
+    """An AF sequence as a unital tower; each hom must fit and chain its adjacent algebras."""
     o = _expect_dict(obj, "sequence")
     algebras = [
         algebra_from_obj(a, f"algebras[{i}]")
@@ -159,21 +155,18 @@ def sequence_from_obj(obj) -> AFSequence:
     homs = [
         hom_from_obj(h, f"homs[{i}]") for i, h in enumerate(_expect_list(o.get("homs", []), "homs"))
     ]
-    try:
-        return AFSequence(tuple(algebras), tuple(homs))
-    except ValueError as exc:
-        raise SchemaError("sequence", str(exc)) from exc
+    for s, h in enumerate(homs):
+        if algebras[s : s + 2] != [h.source, h.target]:
+            raise SchemaError("sequence", f"hom at stage {s} does not chain the adjacent algebras")
+    return _tower([a.summands for a in algebras], [h.mult for h in homs], True, "sequence")
 
 
-# -- certificates -----------------------------------------------------------
-
-
-def certificate_to_obj(cert: DimCertificate) -> dict:
+def certificate_to_obj(cert: Tower) -> dict:
     stages = []
-    for grp in cert.stages:
-        stage = {"rank": grp.rank}
-        if grp.unit is not None:
-            stage["unit"] = list(grp.unit)
+    for rank, unit in zip(cert.ranks, cert.levels):
+        stage = {"rank": rank}
+        if unit is not None:
+            stage["unit"] = list(unit)
         stages.append(stage)
     return {
         "stages": stages,
@@ -182,24 +175,19 @@ def certificate_to_obj(cert: DimCertificate) -> dict:
     }
 
 
-def certificate_from_obj(obj) -> DimCertificate:
+def certificate_from_obj(obj) -> Tower:
+    """A certificate; one marked unital must carry a strict unit at every stage through every bond."""
     o = _expect_dict(obj, "certificate")
-    stages = []
+    ranks, units = [], []
     for i, st in enumerate(_expect_list(o.get("stages"), "stages")):
         s = _expect_dict(st, f"stages[{i}]")
-        rank = _expect_int(s.get("rank"), f"stages[{i}].rank")
-        unit = None
-        if s.get("unit") is not None:
-            unit = tuple(_int_list(s["unit"], f"stages[{i}].unit"))
-        try:
-            stages.append(SimplicialGroup(rank, unit))
-        except ValueError as exc:
-            raise SchemaError(f"stages[{i}]", str(exc)) from exc
-    bonds = [matrix_from_obj(b, f"bonds[{i}]") for i, b in enumerate(_expect_list(o.get("bonds", []), "bonds"))]
-    try:
-        return DimCertificate(tuple(stages), tuple(bonds), unital=bool_field(o, "unital"))
-    except ValueError as exc:
-        raise SchemaError("certificate", str(exc)) from exc
+        ranks.append(_expect_int(s.get("rank"), f"stages[{i}].rank"))
+        units.append(None if s.get("unit") is None else _int_list(s["unit"], f"stages[{i}].unit"))
+    cert = _tower(units, _matrices(o, "bonds"), bool_field(o, "unital"), "certificate", ranks)
+    bad = unit_violation(cert) if cert.unital else None
+    if bad is not None:
+        raise SchemaError("certificate", bad)
+    return cert
 
 
 def limit_hom_from_obj(obj, path: str = "theta") -> LimitHom:

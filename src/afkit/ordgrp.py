@@ -2,8 +2,9 @@
 
 Group elements are tuples of Python ints (arbitrary precision), and positive
 homomorphisms between simplicial groups are nonnegative integer matrices
-acting on column vectors, so a map Z^n -> Z^p is stored as a p x n matrix.
-Everything here is immutable and exact, except Budget, the node counter that
+acting on column vectors, so a map Z^n -> Z^p is stored as a p x n matrix. A
+Tower is a finite chain of such maps with one vector per level. Everything
+here is immutable and exact, except Budget, the node counter that
 equivalence_search and build_zigzag spend.
 """
 
@@ -72,30 +73,62 @@ class PosMatrix:
 
 
 @dataclass(frozen=True)
-class SimplicialGroup:
-    """Z^rank with the coordinatewise cone, optionally scaled by a unit vector.
+class Tower:
+    """One vector per level and one positive matrix per gap.
 
-    A strict unit (every component >= 1) is an order unit of the whole group;
-    units with zero components are tolerated as inputs to unitalization and
-    are flagged by has_strict_unit() = False.
+    This is the data of a Bratteli diagram, of an AF inductive sequence and of
+    a K0 certificate alike. levels[s] is the vector of level s (vertex labels,
+    block sizes or a stage unit), or None for a certificate stage without a
+    unit; bonds[s] maps level s to level s+1, one row per vertex of level s+1.
+    ranks is derived from the vectors and must be given when a level is None.
+    unital claims that every bond carries its level's vector onto the next;
+    the reader that relies on the claim checks it (consistency_violation,
+    af_sequence_violation, unit_violation). Construction checks only shapes and
+    that the vectors are nonnegative.
     """
 
-    rank: int
-    unit: Optional[IntVector] = None
+    levels: tuple  # tuple[Optional[tuple[int, ...]], ...]
+    bonds: tuple  # tuple[PosMatrix, ...]
+    unital: bool = False
+    ranks: Optional[tuple] = None  # tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.unit is not None:
-            u = vector(self.unit)
-            if len(u) != self.rank:
-                raise ValueError("unit length must equal rank")
-            if any(x < 0 for x in u):
-                raise ValueError("unit components must be nonnegative")
-            object.__setattr__(self, "unit", u)
+        levels = tuple(None if v is None else tuple(v) for v in self.levels)
+        bonds = tuple(self.bonds)
+        if not levels:
+            raise ValueError("tower needs at least one level")
+        for s, v in enumerate(levels):
+            if v is not None and not (v and all(isinstance(x, int) and x >= 0 for x in v)):
+                raise ValueError(f"level {s} must be a nonempty vector of nonnegative ints")
+        if self.ranks is None:
+            if None in levels:
+                raise ValueError("a tower with unitless levels needs ranks")
+            ranks = tuple(map(len, levels))
+        else:
+            ranks = tuple(self.ranks)
+            if len(ranks) != len(levels):
+                raise ValueError("need exactly one rank per level")
+            for s, (r, v) in enumerate(zip(ranks, levels)):
+                if not isinstance(r, int) or r < 1 or (v is not None and len(v) != r):
+                    raise ValueError(f"rank at level {s} must be >= 1 and equal its vector's length")
+        if len(bonds) != len(levels) - 1:
+            raise ValueError("need exactly one bond per gap")
+        for s, b in enumerate(bonds):
+            if b.cols != ranks[s] or b.rows != ranks[s + 1]:
+                raise ValueError(f"bond at gap {s} does not match the level sizes")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "bonds", bonds)
+        object.__setattr__(self, "ranks", ranks)
 
-    def has_strict_unit(self) -> bool:
-        return self.unit is not None and all(x >= 1 for x in self.unit)
+    @property
+    def depth(self) -> int:
+        return len(self.bonds)
+
+    def bond_product(self, s: int, t: int) -> PosMatrix:
+        """Composite bond from level s to level t >= s (identity when t == s)."""
+        if not 0 <= s <= t <= self.depth:
+            raise ValueError(f"stages out of range: {s} -> {t}")
+        return chain_product(self.bonds, s, t, self.ranks[s])
 
 
 def compose(a: PosMatrix, b: PosMatrix) -> PosMatrix:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import random
 
-from afkit.bratteli import LabeledBratteliDiagram, af_sequence_of_diagram, apply_iso
-from afkit.dimgroup import DimCertificate, certificate_of_af
-from afkit.findim import AFSequence, AlgebraHom, FinDimAlgebra
-from afkit.ordgrp import PosMatrix, SimplicialGroup
+from afkit.bratteli import af_sequence_of_diagram, apply_iso
+from afkit.dimgroup import certificate_of_af
+from afkit.findim import AlgebraHom, FinDimAlgebra
+from afkit.ordgrp import PosMatrix, Tower
 
 
 def random_pos_matrix(rnd: random.Random, rows: int, cols: int, max_entry: int) -> PosMatrix:
@@ -26,17 +26,22 @@ def random_diagram(
     max_levels: int = 5,
     max_vertices: int = 4,
     max_entry: int = 3,
-) -> LabeledBratteliDiagram:
+) -> Tower:
     n_levels = rnd.randint(1, max_levels)
     sizes = [rnd.randint(1, max_vertices) for _ in range(n_levels)]
     levels = tuple(tuple(rnd.randint(0, 5) for _ in range(s)) for s in sizes)
     edges = tuple(
         random_pos_matrix(rnd, sizes[k + 1], sizes[k], max_entry) for k in range(n_levels - 1)
     )
-    return LabeledBratteliDiagram(levels, edges, unital=False)
+    return Tower(levels, edges, unital=False)
 
 
-def brute_force_path_count(diagram: LabeledBratteliDiagram, u, v) -> int:
+def bare_tower(ranks, bonds) -> Tower:
+    """A certificate without units: only ranks and bonds."""
+    return Tower((None,) * len(ranks), tuple(bonds), ranks=tuple(ranks))
+
+
+def brute_force_path_count(diagram: Tower, u, v) -> int:
     """Walk every physical edge copy separately and count arrivals at v."""
     (lu, iu), (lv, iv) = u, v
     if lu >= lv:
@@ -45,7 +50,7 @@ def brute_force_path_count(diagram: LabeledBratteliDiagram, u, v) -> int:
     def walk(level: int, idx: int) -> int:
         if level == lv:
             return 1 if idx == iv else 0
-        edge = diagram.edges[level]
+        edge = diagram.bonds[level]
         total = 0
         for i in range(edge.rows):
             for _copy in range(edge.entries[i][idx]):
@@ -108,7 +113,7 @@ def random_unital_sequence(
     max_blocks: int = 3,
     max_entry: int = 2,
     max_start: int = 3,
-) -> AFSequence:
+) -> Tower:
     """Random AF sequence with unital injective homs (valid for round trips)."""
     algebras = [
         FinDimAlgebra(tuple(rnd.randint(1, max_start) for _ in range(rnd.randint(1, max_blocks))))
@@ -130,17 +135,17 @@ def random_unital_sequence(
         mult = PosMatrix(tuple(tuple(rows[i]) for i in order))
         homs.append(AlgebraHom(source, target, mult))
         algebras.append(target)
-    return AFSequence(tuple(algebras), tuple(homs))
+    return Tower(tuple(a.summands for a in algebras), tuple(h.mult for h in homs), unital=True)
 
 
-def uhf_certificate(multiplier: int, depth: int) -> DimCertificate:
+def uhf_certificate(multiplier: int, depth: int) -> Tower:
     """Rank-1 tower with constant bond [[multiplier]] and units multiplier^s."""
-    stages = tuple(SimplicialGroup(1, (multiplier**s,)) for s in range(depth + 1))
+    units = tuple((multiplier**s,) for s in range(depth + 1))
     bonds = tuple(PosMatrix(((multiplier,),)) for _ in range(depth))
-    return DimCertificate(stages, bonds, unital=True)
+    return Tower(units, bonds, unital=True)
 
 
-def wide_diagram(width: int, depth: int, structure_seed: int) -> LabeledBratteliDiagram:
+def wide_diagram(width: int, depth: int, structure_seed: int) -> Tower:
     """Root, then `depth` levels of `width` equal-label vertices, two edges into each vertex.
 
     The same structures as the wide-search benchmark's; every level's
@@ -161,10 +166,10 @@ def wide_diagram(width: int, depth: int, structure_seed: int) -> LabeledBratteli
                 break
         edges.append(PosMatrix(tuple(rows)))
         levels.append((levels[-1][0] * 2,) * width)
-    return LabeledBratteliDiagram(tuple(levels), tuple(edges), unital=True)
+    return Tower(tuple(levels), tuple(edges), unital=True)
 
 
-def relabel(rnd: random.Random, d: LabeledBratteliDiagram) -> LabeledBratteliDiagram:
+def relabel(rnd: random.Random, d: Tower) -> Tower:
     """A random relabelling of every level; the first of the benchmark's cyclic relabellings."""
     perms = []
     for level in d.levels:
@@ -174,7 +179,7 @@ def relabel(rnd: random.Random, d: LabeledBratteliDiagram) -> LabeledBratteliDia
     return apply_iso(d, perms)
 
 
-def certificate_of_diagram(d: LabeledBratteliDiagram) -> DimCertificate:
+def certificate_of_diagram(d: Tower) -> Tower:
     return certificate_of_af(af_sequence_of_diagram(d))
 
 
@@ -192,7 +197,7 @@ def random_planted_shen_instance(rnd: random.Random):
     for row in rows:
         row[b] = row[a]
     bonds[t] = PosMatrix(tuple(tuple(r) for r in rows))
-    cert = DimCertificate(tuple(SimplicialGroup(r) for r in ranks), tuple(bonds))
+    cert = bare_tower(ranks, bonds)
 
     n_src = rnd.randint(2, 4)
     matrix = [[rnd.randint(0, 2) for _ in range(n_src)] for _ in range(ranks[t])]

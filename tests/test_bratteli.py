@@ -3,14 +3,13 @@ import random
 import pytest
 
 from afkit.bratteli import (
+    TRIAL_DIVISION_BOUND,
     ConsistencyError,
     EquivalenceWitness,
-    LabeledBratteliDiagram,
     WitnessStep,
     af_sequence_of_diagram,
     apply_iso,
     consistency_violation,
-    diagram_of_af_sequence,
     equivalence_search,
     gen_car,
     gen_trace_diagram,
@@ -21,16 +20,15 @@ from afkit.bratteli import (
     supernatural_prefix,
     telescope,
 )
-from afkit.dimgroup import DimCertificate, af_of_certificate
-from afkit.findim import AFSequence, AlgebraHom, FinDimAlgebra
-from afkit.ordgrp import PosMatrix, SimplicialGroup
+from afkit.dimgroup import af_of_certificate, certificate_of_af
+from afkit.ordgrp import PosMatrix, Tower
 
 from helpers import brute_force_path_count, random_diagram, random_unital_sequence
 
 
 def three_level_example():
     # levels of sizes 1, 2, 1 with E0 = [[1],[2]] and E1 = [[3,1]]
-    return LabeledBratteliDiagram(
+    return Tower(
         ((0,), (0, 0), (0,)),
         (PosMatrix(((1,), (2,))), PosMatrix(((3, 1),))),
     )
@@ -69,7 +67,7 @@ class TestPathCounting:
 
     def test_path_matrix_entries(self):
         d = three_level_example()
-        assert path_matrix(d, 0, 1) == d.edges[0]
+        assert path_matrix(d, 0, 1) == d.bonds[0]
         assert path_matrix(d, 0, 2).entries == ((5,),)
         assert path_matrix(gen_car(3), 0, 3).entries == ((8,),)
 
@@ -104,7 +102,7 @@ class TestTelescope:
     def test_car_even_levels(self):
         got = telescope(gen_car(6), (0, 2, 4, 6))
         assert got.levels == ((1,), (4,), (16,), (64,))
-        assert all(e.entries == ((4,),) for e in got.edges)
+        assert all(e.entries == ((4,),) for e in got.bonds)
 
     def test_composition_law(self):
         rnd = random.Random(22)
@@ -138,32 +136,32 @@ class TestTelescope:
 
 
 class TestDiagramSequenceBridge:
+    # af-to-diagram and af-to-cert read the same tower: certificate_of_af.
     def test_car_prefix(self):
-        d = diagram_of_af_sequence(af_sequence_of_diagram(gen_car(3)))
+        d = certificate_of_af(af_sequence_of_diagram(gen_car(3)))
         assert d.levels == ((1,), (2,), (4,), (8,))
-        assert all(e.entries == ((2,),) for e in d.edges)
+        assert all(e.entries == ((2,),) for e in d.bonds)
         assert d.unital
+        assert d == gen_car(3)
 
     def test_one_stage(self):
-        d = diagram_of_af_sequence(AFSequence((FinDimAlgebra((2, 3)),), ()))
+        d = certificate_of_af(Tower(((2, 3),), ()))
         assert d.levels == ((2, 3),)
-        assert d.edges == ()
+        assert d.bonds == ()
 
     def test_split_example(self):
-        a = FinDimAlgebra((1,))
-        b = FinDimAlgebra((1, 1))
-        seq = AFSequence((a, b), (AlgebraHom(a, b, PosMatrix(((1,), (1,)))),))
-        d = diagram_of_af_sequence(seq)
+        d = certificate_of_af(Tower(((1,), (1, 1)), (PosMatrix(((1,), (1,))),)))
         assert d.levels == ((1,), (1, 1))
-        assert d.edges[0].entries == ((1,), (1,))
+        assert d.bonds[0].entries == ((1,), (1,))
 
     def test_round_trips(self):
         rnd = random.Random(24)
         for _ in range(60):
             seq = random_unital_sequence(rnd, rnd.randint(0, 6))
-            d = diagram_of_af_sequence(seq)
+            d = certificate_of_af(seq)
+            assert d == seq  # one datum: the sequence's levels are ascending already
             assert af_sequence_of_diagram(d) == seq
-            assert diagram_of_af_sequence(af_sequence_of_diagram(d)) == d
+            assert certificate_of_af(af_sequence_of_diagram(d)) == d
 
     # Multiplicity matrices read off relabelled diagrams whose levels carry
     # repeated labels out of order, so the stable sort decides the block order.
@@ -181,33 +179,31 @@ class TestDiagramSequenceBridge:
     def relabelled(seed):
         rnd = random.Random(seed)
         seq = random_unital_sequence(rnd, 3, max_blocks=4, max_entry=1, max_start=1)
-        d = diagram_of_af_sequence(seq)
-        return apply_iso(d, [rnd.sample(range(len(level)), len(level)) for level in d.levels])
+        return apply_iso(seq, [rnd.sample(range(len(level)), len(level)) for level in seq.levels])
 
     @pytest.mark.parametrize("seed", sorted(SORTED_MULTS))
     def test_unsorted_levels_are_stably_sorted(self, seed):
         d = self.relabelled(seed)
         assert any(list(level) != sorted(level) for level in d.levels)
         seq = af_sequence_of_diagram(d)
-        assert [f.summands for f in seq.algebras] == [tuple(sorted(level)) for level in d.levels]
-        assert tuple(h.mult.entries for h in seq.homs) == self.SORTED_MULTS[seed]
+        assert list(seq.levels) == [tuple(sorted(level)) for level in d.levels]
+        assert tuple(m.entries for m in seq.bonds) == self.SORTED_MULTS[seed]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_diagram_and_certificate_read_the_same_sequence(self, seed):
+        # a unital diagram is also a unital certificate: its labels are the units
         d = self.relabelled(seed)
-        stages = tuple(SimplicialGroup(len(level), level) for level in d.levels)
-        cert = DimCertificate(stages, d.edges, unital=True)
-        assert af_sequence_of_diagram(d) == af_of_certificate(cert)
+        assert af_sequence_of_diagram(d) == af_of_certificate(d)
 
     def test_inconsistent_labels_rejected(self):
-        d = LabeledBratteliDiagram(((1,), (3,)), (PosMatrix(((2,),)),), unital=True)
+        d = Tower(((1,), (3,)), (PosMatrix(((2,),)),), unital=True)
         with pytest.raises(ConsistencyError) as err:
             af_sequence_of_diagram(d)
         assert err.value.vertex == (1, 0)
 
     def test_inherits_injectivity_requirement(self):
         # second source vertex has no outgoing edges
-        d = LabeledBratteliDiagram(
+        d = Tower(
             ((1, 1), (1,)), (PosMatrix(((1, 0),)),), unital=True
         )
         with pytest.raises(ConsistencyError) as err:
@@ -215,37 +211,30 @@ class TestDiagramSequenceBridge:
         assert err.value.vertex == (0, 1)
 
     def test_unlabeled_flag_rejected(self):
-        d = LabeledBratteliDiagram(((1,), (2,)), (PosMatrix(((2,),)),), unital=False)
+        d = Tower(((1,), (2,)), (PosMatrix(((2,),)),), unital=False)
         with pytest.raises(ValueError):
             af_sequence_of_diagram(d)
 
 
 class TestSimplicialTowerDiagram:
     def test_car_shape(self):
-        cert = DimCertificate(
-            (SimplicialGroup(1, (1,)), SimplicialGroup(1, (2,))),
-            (PosMatrix(((2,),)),),
-            unital=True,
-        )
-        d = diagram_of_af_sequence(af_of_certificate(cert))
+        cert = Tower(((1,), (2,)), (PosMatrix(((2,),)),), unital=True)
+        d = certificate_of_af(af_of_certificate(cert))
         assert d.levels == ((1,), (2,))
-        assert d.edges[0].entries == ((2,),)
+        assert d.bonds[0].entries == ((2,),)
         assert d.unital
 
     def test_single_stage(self):
-        cert = DimCertificate((SimplicialGroup(2, (1, 1)),), ())
-        d = diagram_of_af_sequence(af_of_certificate(cert))
+        cert = Tower(((1, 1),), ())
+        d = certificate_of_af(af_of_certificate(cert))
         assert d.levels == ((1, 1),)
 
     def test_rank_two_tower(self):
-        cert = DimCertificate(
-            (SimplicialGroup(2, (1, 1)), SimplicialGroup(2, (2, 1))),
-            (PosMatrix(((1, 1), (0, 1))),),
-        )
-        d = diagram_of_af_sequence(af_of_certificate(cert))
+        cert = Tower(((1, 1), (2, 1)), (PosMatrix(((1, 1), (0, 1))),))
+        d = certificate_of_af(af_of_certificate(cert))
         # the stable sort puts level 1's blocks in ascending order and swaps the rows to match
         assert d.levels == ((1, 1), (1, 2))
-        assert d.edges[0].entries == ((0, 1), (1, 1))
+        assert d.bonds[0].entries == ((0, 1), (1, 1))
         assert d.unital
 
 
@@ -255,7 +244,7 @@ class TestSimplicity:
         assert v.witnessed and v.blocked is None
 
     def test_single_level_vacuous(self):
-        v = simplicity_window(LabeledBratteliDiagram(((1, 2),), ()))
+        v = simplicity_window(Tower(((1, 2),), ()))
         assert v.witnessed
 
     def test_stalled_trace_blocked(self):
@@ -270,28 +259,39 @@ class TestSimplicity:
 
 class TestSupernatural:
     def test_car_depth_five(self):
-        assert supernatural_prefix(gen_car(5)) == {2: 5}
+        assert supernatural_prefix(gen_car(5)) == ({2: 5}, 1)
 
     def test_mixed_factors(self):
-        d = LabeledBratteliDiagram(
+        d = Tower(
             ((1,), (6,), (60,)),
             (PosMatrix(((6,),)), PosMatrix(((10,),))),
             unital=True,
         )
-        assert supernatural_prefix(d) == {2: 2, 3: 1, 5: 1}
+        assert supernatural_prefix(d) == ({2: 2, 3: 1, 5: 1}, 1)
 
     def test_depth_zero(self):
-        assert supernatural_prefix(LabeledBratteliDiagram(((1,),), ())) == {}
+        assert supernatural_prefix(Tower(((1,),), ())) == ({}, 1)
+
+    def test_unfactored_cofactor(self):
+        # both prime factors of the 61-digit semiprime lie beyond the trial bound
+        p, q = 10**30 + 57, 3 * 10**30 + 91
+        d = Tower(((1,), (6 * p * q,), (42 * p * q,)), (PosMatrix(((6 * p * q,),)), PosMatrix(((7,),))))
+        assert supernatural_prefix(d) == ({2: 1, 3: 1, 7: 1}, p * q)
+        # a remainder below the square of the bound is prime
+        prime = 9_999_999_967
+        assert prime < TRIAL_DIVISION_BOUND**2
+        d = Tower(((1,), (2 * prime,)), (PosMatrix(((2 * prime,),)),))
+        assert supernatural_prefix(d) == ({2: 1, prime: 1}, 1)
 
     def test_multi_vertex_rejected(self):
-        d = LabeledBratteliDiagram(((1, 1),), ())
+        d = Tower(((1, 1),), ())
         with pytest.raises(ValueError):
             supernatural_prefix(d)
 
     def test_invariant_under_telescoping(self):
         d = gen_car(6)
         assert supernatural_prefix(telescope(d, (0, 2, 3, 6))) == supernatural_prefix(d)
-        mixed = LabeledBratteliDiagram(
+        mixed = Tower(
             ((1,), (2,), (12,), (12,)),
             (PosMatrix(((2,),)), PosMatrix(((6,),)), PosMatrix(((1,),))),
             unital=True,
@@ -303,7 +303,7 @@ class TestGenerators:
     def test_car_depths(self):
         assert gen_car(0).levels == ((1,),)
         assert gen_car(2).levels == ((1,), (2,), (4,))
-        assert telescope(gen_car(2), (0, 2)).edges[0].entries == ((4,),)
+        assert telescope(gen_car(2), (0, 2)).bonds[0].entries == ((4,),)
 
     def test_trace_all_halt_instantly(self):
         # steps[x] = x + 1 makes the halting counter grow at every step
@@ -312,7 +312,7 @@ class TestGenerators:
         hand_m = [min(s, 12) for s in range(11)]
         assert all(hand_m[s] < hand_m[s + 1] for s in range(10))
         assert all(len(level) == 1 for level in d.levels)
-        assert all(e.entries == ((1,),) for e in d.edges)
+        assert all(e.entries == ((1,),) for e in d.bonds)
 
     def test_trace_none_halt(self):
         d = gen_trace_diagram({}, 6)
@@ -353,7 +353,7 @@ class TestEquivalence:
         assert w.steps[0].stages == (0, 2, 4, 6)
 
     def test_car_vs_three_infinity(self):
-        three = LabeledBratteliDiagram(
+        three = Tower(
             tuple((3**s,) for s in range(6)),
             tuple(PosMatrix(((3,),)) for _ in range(5)),
             unital=True,
@@ -361,8 +361,7 @@ class TestEquivalence:
         assert equivalence_search(gen_car(5), three, budget=50_000) is None
 
     def test_permuted_levels(self):
-        seq = random_unital_sequence(random.Random(30), 4, max_blocks=3)
-        d = diagram_of_af_sequence(seq)
+        d = random_unital_sequence(random.Random(30), 4, max_blocks=3)
         maps = []
         rnd = random.Random(31)
         for level in d.levels:
@@ -420,10 +419,9 @@ class TestConsistency:
     def test_unital_diagrams_balance_exactly(self):
         rnd = random.Random(33)
         for _ in range(30):
-            seq = random_unital_sequence(rnd, rnd.randint(0, 5))
-            d = diagram_of_af_sequence(seq)
+            d = random_unital_sequence(rnd, rnd.randint(0, 5))
             assert consistency_violation(d) is None
-            for k, edge in enumerate(d.edges):
+            for k, edge in enumerate(d.bonds):
                 for i in range(edge.rows):
                     total = sum(
                         edge.entries[i][j] * d.levels[k][j] for j in range(edge.cols)
@@ -431,5 +429,5 @@ class TestConsistency:
                     assert d.levels[k + 1][i] == total
 
     def test_violation_located(self):
-        d = LabeledBratteliDiagram(((1,), (3,)), (PosMatrix(((2,),)),), unital=True)
+        d = Tower(((1,), (3,)), (PosMatrix(((2,),)),), unital=True)
         assert consistency_violation(d) == ((1, 0), "label 3 != incoming mass 2")

@@ -1,3 +1,5 @@
+import ast
+import contextlib
 import importlib
 import importlib.util
 import io
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import afkit
 from afkit import bratteli, dimgroup, jsonio, ordgrp, perturb
@@ -101,7 +105,21 @@ class TestVerdicts:
         path = write(tmp_path, "broken.json", broken)
         code, out = run(capsys, ["validate", path])
         assert code == 1
-        assert json.loads(out)["status"] == "refuted"
+        assert out == (
+            '{"kind":"certificate","reason":"bond at gap 0 does not carry the unit forward","status":"refuted"}\n'
+        )
+        # every other reader of the claim rejects the certificate as input
+        code, out = run(capsys, ["cert-to-af", path])
+        assert code == 3
+        assert json.loads(out)["error"] == "certificate: bond at gap 0 does not carry the unit forward"
+
+    def test_inconsistent_unital_diagram_still_decodes(self, capsys, tmp_path):
+        # the unital claim is checked by the readers that rely on it, not by decoding
+        path = write(tmp_path, "bad.json", {"levels": [[1], [3]], "edges": [[[2]]], "unital": True})
+        code, out = run(capsys, ["telescope", path, "--stages", "0,1"])
+        assert code == 0 and json.loads(out)["levels"] == [[1], [3]]
+        code, out = run(capsys, ["validate", path])
+        assert code == 1 and json.loads(out)["vertex"] == [1, 0]
 
     def test_flags_must_be_json_booleans(self, capsys, tmp_path):
         diagram = {"levels": [[1], [2]], "edges": [[[2]]], "unital": "false"}
@@ -210,6 +228,22 @@ class TestConversions:
         assert code == 1
         assert json.loads(out)["vertex"] == [1, 0]
 
+    def test_af_to_diagram_is_the_certificate_tower(self, capsys, tmp_path):
+        seq = bratteli.af_sequence_of_diagram(bratteli.gen_trace_diagram({0: 2, 1: 4}, 6))
+        seq_path = write(tmp_path, "seq.json", jsonio.sequence_to_obj(seq))
+        _, d_out = run(capsys, ["af-to-diagram", seq_path])
+        _, cert_out = run(capsys, ["af-to-cert", seq_path])
+        diagram = jsonio.diagram_from_obj(json.loads(d_out))
+        assert diagram == jsonio.certificate_from_obj(json.loads(cert_out)) == seq
+
+    def test_supernatural_cofactor_is_unknown(self, capsys, tmp_path):
+        # a 61-digit semiprime whose two prime factors lie beyond the trial bound
+        n = (10**30 + 57) * (3 * 10**30 + 91)
+        path = write(tmp_path, "d.json", {"levels": [[1], [2 * n]], "edges": [[[2 * n]]], "unital": True})
+        code, out = run(capsys, ["supernatural", path])
+        assert code == 2
+        assert out == '{"cofactor":%d,"factors":{"2":1},"status":"unknown"}\n' % n
+
     def test_unitalize(self, capsys, tmp_path):
         cert_obj = {
             "stages": [{"rank": 2, "unit": [1, 0]}, {"rank": 2, "unit": [2, 0]}],
@@ -272,9 +306,9 @@ class TestSearchCommands:
             tmp_path,
             "three.json",
             jsonio.diagram_to_obj(
-                bratteli.LabeledBratteliDiagram(
+                ordgrp.Tower(
                     tuple((3**s,) for s in range(7)),
-                    tuple(bratteli.PosMatrix(((3,),)) for _ in range(6)),
+                    tuple(ordgrp.PosMatrix(((3,),)) for _ in range(6)),
                     unital=True,
                 )
             ),
@@ -334,11 +368,7 @@ class TestSearchCommands:
 
     def test_zigzag_without_seed_map_is_unknown(self, capsys, tmp_path):
         # no positive unit-preserving map carries unit (2) to unit 3^m
-        left = dimgroup.DimCertificate(
-            (ordgrp.SimplicialGroup(1, (2,)), ordgrp.SimplicialGroup(1, (4,))),
-            (ordgrp.PosMatrix(((2,),)),),
-            unital=True,
-        )
+        left = ordgrp.Tower(((2,), (4,)), (ordgrp.PosMatrix(((2,),)),), unital=True)
         a = write(tmp_path, "a.json", jsonio.certificate_to_obj(left))
         b = write(tmp_path, "b.json", jsonio.certificate_to_obj(uhf_certificate(3, 2)))
         code, out = run(capsys, ["zigzag", a, b, "--depth", "1"])
@@ -351,6 +381,7 @@ class TestSearchCommands:
 CAR3 = jsonio.canonical_dumps(jsonio.diagram_to_obj(bratteli.gen_car(3)))
 CAR3_CERT = jsonio.canonical_dumps(jsonio.certificate_to_obj(uhf_certificate(2, 3)))
 BARE_CERT = '{"bonds":[],"stages":[{"rank":1}]}'
+NESTED = "[" * 100_000
 SEED_WITNESS = '{"alpha":[[[1]]],"beta":[],"mStages":[0],"nStages":[0]}'
 EMPTY_WITNESS = '{"alpha":[],"beta":[],"mStages":[],"nStages":[]}'
 
@@ -375,6 +406,8 @@ EMPTY_WITNESS = '{"alpha":[],"beta":[],"mStages":[],"nStages":[]}'
         (["perturb-demo", "--n", "0"], "", "n must be >= 1"),
         (["verify-zigzag", "SEED_WITNESS", "BARE_CERT", "BARE_CERT"], "", "need unital certificates"),
         (["verify-zigzag", "EMPTY_WITNESS", "CERT", "CERT"], "", "needs the seed map alpha_0"),
+        (["validate", "NESTED"], "", "nested too deeply"),
+        (["simple"], NESTED, "nested too deeply"),
     ],
     ids=[
         "telescope",
@@ -394,6 +427,8 @@ EMPTY_WITNESS = '{"alpha":[],"beta":[],"mStages":[],"nStages":[]}'
         "perturb-demo-zero-n",
         "verify-zigzag-non-unital",
         "verify-zigzag-empty-witness",
+        "validate-deeply-nested-json",
+        "simple-deeply-nested-stdin",
     ],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv, stdin, named):
@@ -404,6 +439,7 @@ def test_bad_arguments_are_input_errors(capsys, tmp_path, argv, stdin, named):
         "BARE_CERT": BARE_CERT,
         "SEED_WITNESS": SEED_WITNESS,
         "EMPTY_WITNESS": EMPTY_WITNESS,
+        "NESTED": NESTED,
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -428,14 +464,107 @@ def test_import_does_not_load_numpy():
 
 def test_bench_tracer_targets_resolve():
     # the benchmark's --trace 1 rebinds these names; a missing one breaks tracing
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    spec = importlib.util.spec_from_file_location("bench_tracer", os.path.join(bench, "tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     for module, attr, _ in tracer.FUNCTIONS:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
     for module, cls, attr, _ in tracer.METHODS:
         assert hasattr(getattr(importlib.import_module(module), cls), attr), (module, cls, attr)
+    # the workloads build their inputs from these names, e.g. bratteli.LabeledBratteliDiagram
+    for name in ("workloads.py", "pipelines.py"):
+        with open(os.path.join(bench, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "afkit":
+                for alias in node.names:
+                    if node.module == "afkit":
+                        modules[alias.asname or alias.name] = importlib.import_module(f"afkit.{alias.name}")
+                    else:
+                        assert hasattr(importlib.import_module(node.module), alias.name), (name, alias.name)
+        assert modules, name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                assert hasattr(modules[node.value.id], node.attr), (name, node.value.id, node.attr)
+
+
+def _pipe(argv, text: str) -> tuple:
+    """Exit code and stdout of one afkit command reading text on stdin.
+
+    run() needs pytest's capsys, which Hypothesis cannot share across examples.
+    """
+    old, sys.stdin = sys.stdin, io.StringIO(text)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = old
+    return code, out.getvalue()
+
+
+@st.composite
+def unital_diagrams(draw) -> tuple:
+    """Levels and edge rows of a unital diagram that reads as an AF sequence.
+
+    Labels are small, so levels repeat labels out of order; every row and
+    every column of an edge matrix is nonzero (positive labels, injective homs).
+    """
+    levels = [draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))]
+    edges = []
+    for _ in range(draw(st.integers(0, 4))):
+        width = len(levels[-1])
+        rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=width, max_size=width), min_size=1, max_size=4))
+        for i, row in enumerate(rows):
+            row[i % width] = row[i % width] or 1
+        for j in range(width):
+            rows[j % len(rows)][j] = rows[j % len(rows)][j] or 1
+        edges.append(rows)
+        levels.append([sum(e * x for e, x in zip(row, levels[-1])) for row in rows])
+    return levels, edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(unital_diagrams())
+def test_conversions_round_trip_to_the_stably_sorted_diagram(diagram):
+    levels, edges = diagram
+    text = jsonio.canonical_dumps({"levels": levels, "edges": edges, "unital": True})
+    for command in ("diagram-to-af", "af-to-cert", "cert-to-af", "af-to-diagram"):
+        code, text = _pipe([command], text)
+        assert code == 0, (command, text)
+    perms = [sorted(range(len(level)), key=level.__getitem__) for level in levels]
+    want = {
+        "levels": [[level[i] for i in perm] for level, perm in zip(levels, perms)],
+        "edges": [[[rows[i][j] for j in perms[s]] for i in perms[s + 1]] for s, rows in enumerate(edges)],
+        "unital": True,
+    }
+    assert text == jsonio.canonical_dumps(want)
+
+
+@st.composite
+def certificates(draw) -> ordgrp.Tower:
+    """Unitless, partly unitless and fully unit-carrying certificates."""
+    ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    bonds = [
+        ordgrp.PosMatrix(tuple(tuple(draw(st.integers(0, 2)) for _ in range(r)) for _ in range(r2)))
+        for r, r2 in zip(ranks, ranks[1:])
+    ]
+    units = [draw(st.none() | st.tuples(*[st.integers(0, 3)] * r)) for r in ranks]
+    return ordgrp.Tower(tuple(units), tuple(bonds), ranks=tuple(ranks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificates())
+@example(ordgrp.Tower((None,), (), ranks=(1,)))
+def test_certificates_round_trip(cert):
+    text = jsonio.canonical_dumps(jsonio.certificate_to_obj(cert))
+    again = jsonio.certificate_from_obj(json.loads(text))
+    assert again == cert
+    assert jsonio.canonical_dumps(jsonio.certificate_to_obj(again)) == text
+    if cert.ranks == (1,) and cert.levels == (None,):
+        assert text == '{"bonds":[],"stages":[{"rank":1}],"unital":false}\n'
 
 
 class TestModuliCommand:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afkit.dimgroup import (
-    DimCertificate,
     LimitElement,
     LimitHom,
     Verdict3,
@@ -15,13 +14,16 @@ from afkit.dimgroup import (
     positive_at_depth,
     push,
     shen_factor,
+    unit_violation,
     unitalize,
 )
 from afkit.bratteli import af_sequence_of_diagram, gen_car
 from afkit.findim import af_sequence_violation
-from afkit.ordgrp import PosMatrix, SimplicialGroup, mat_vec
+from afkit.jsonio import SchemaError, certificate_from_obj
+from afkit.ordgrp import PosMatrix, Tower, mat_vec
 
 from helpers import (
+    bare_tower,
     random_planted_shen_instance,
     random_pos_matrix,
     random_unital_sequence,
@@ -31,37 +33,37 @@ from helpers import (
 
 def collapse_cert():
     # Z^2 --[[1,1]]--> Z --[[1]]--> Z
-    return DimCertificate(
-        (SimplicialGroup(2), SimplicialGroup(1), SimplicialGroup(1)),
-        (PosMatrix(((1, 1),)), PosMatrix(((1,),))),
-    )
+    return bare_tower((2, 1, 1), (PosMatrix(((1, 1),)), PosMatrix(((1,),))))
 
 
-def random_certificate(rnd: random.Random, depth=None, max_rank=3) -> DimCertificate:
+def random_certificate(rnd: random.Random, depth=None, max_rank=3) -> Tower:
     d = rnd.randint(1, 5) if depth is None else depth
     ranks = [rnd.randint(1, max_rank) for _ in range(d + 1)]
     bonds = tuple(random_pos_matrix(rnd, ranks[s + 1], ranks[s], 2) for s in range(d))
-    return DimCertificate(tuple(SimplicialGroup(r) for r in ranks), bonds)
+    return bare_tower(ranks, bonds)
 
 
 class TestCertificate:
     def test_shapes_checked(self):
         with pytest.raises(ValueError):
-            DimCertificate((SimplicialGroup(2), SimplicialGroup(1)), (PosMatrix(((1,),)),))
+            bare_tower((2, 1), (PosMatrix(((1,),)),))
 
     def test_unital_needs_strict_transported_units(self):
-        with pytest.raises(ValueError):
-            DimCertificate(
-                (SimplicialGroup(1, (1,)), SimplicialGroup(1, (3,))),
-                (PosMatrix(((2,),)),),
-                unital=True,
+        # the claim is checked by its readers: unit_violation names the first break
+        untransported = Tower(((1,), (3,)), (PosMatrix(((2,),)),), unital=True)
+        assert unit_violation(untransported) == "bond at gap 0 does not carry the unit forward"
+        zero = Tower(((0,), (0,)), (PosMatrix(((1,),)),), unital=True)
+        assert unit_violation(zero) == "unital certificate needs a strict unit at stage 0"
+        unitless = Tower((None, (2,)), (PosMatrix(((2,),)),), unital=True, ranks=(1, 1))
+        assert unit_violation(unitless) == "unital certificate needs a strict unit at stage 0"
+        assert unit_violation(uhf_certificate(2, 3)) is None
+        with pytest.raises(SchemaError, match="certificate: bond at gap 0 does not carry"):
+            certificate_from_obj(
+                {"stages": [{"rank": 1, "unit": [1]}, {"rank": 1, "unit": [3]}], "bonds": [[[2]]], "unital": True}
             )
-        with pytest.raises(ValueError):
-            DimCertificate(
-                (SimplicialGroup(1, (0,)), SimplicialGroup(1, (0,))),
-                (PosMatrix(((1,),)),),
-                unital=True,
-            )
+        for cert in (untransported, zero):
+            with pytest.raises(ValueError, match="unit"):
+                af_of_certificate(cert)
 
     def test_bond_product(self):
         car = uhf_certificate(2, 4)
@@ -79,10 +81,7 @@ class TestPush:
         assert push(car, LimitElement(0, (1,)), 3) == (8,)
 
     def test_rank_two(self):
-        cert = DimCertificate(
-            (SimplicialGroup(2), SimplicialGroup(2)),
-            (PosMatrix(((1, 1), (0, 1))),),
-        )
+        cert = bare_tower((2, 2), (PosMatrix(((1, 1), (0, 1))),))
         assert push(cert, LimitElement(0, (1, 0)), 1) == (1, 0)
 
     def test_range_checked(self):
@@ -116,8 +115,8 @@ class TestEqAtDepth:
             cert = random_certificate(rnd)
             sa = rnd.randint(0, cert.depth)
             sb = rnd.randint(0, cert.depth)
-            a = LimitElement(sa, tuple(rnd.randint(-2, 2) for _ in range(cert.rank(sa))))
-            b = LimitElement(sb, tuple(rnd.randint(-2, 2) for _ in range(cert.rank(sb))))
+            a = LimitElement(sa, tuple(rnd.randint(-2, 2) for _ in range(cert.ranks[sa])))
+            b = LimitElement(sb, tuple(rnd.randint(-2, 2) for _ in range(cert.ranks[sb])))
             v1 = eq_at_depth(cert, a, b)
             v2 = eq_at_depth(cert, b, a)
             assert v1 == v2
@@ -129,8 +128,8 @@ class TestEqAtDepth:
         rnd = random.Random(41)
         for _ in range(40):
             cert = random_certificate(rnd)
-            a = LimitElement(0, tuple(rnd.randint(-2, 2) for _ in range(cert.rank(0))))
-            b = LimitElement(0, tuple(rnd.randint(-2, 2) for _ in range(cert.rank(0))))
+            a = LimitElement(0, tuple(rnd.randint(-2, 2) for _ in range(cert.ranks[0])))
+            b = LimitElement(0, tuple(rnd.randint(-2, 2) for _ in range(cert.ranks[0])))
             assert eq_at_depth(cert, a, b).status in ("yes", "unknown")
 
 
@@ -140,10 +139,7 @@ class TestPositivity:
         assert positive_at_depth(car, LimitElement(0, (0,))) == Verdict3("yes", 0)
 
     def test_becomes_positive(self):
-        cert = DimCertificate(
-            (SimplicialGroup(2), SimplicialGroup(2)),
-            (PosMatrix(((1, 0), (1, 1))),),
-        )
+        cert = bare_tower((2, 2), (PosMatrix(((1, 0), (1, 1))),))
         assert positive_at_depth(cert, LimitElement(0, (1, -1))) == Verdict3("yes", 1)
 
     def test_never_positive_is_unknown(self):
@@ -155,23 +151,20 @@ class TestPositivity:
         rnd = random.Random(42)
         for _ in range(60):
             cert = random_certificate(rnd)
-            a = LimitElement(0, tuple(rnd.randint(-2, 2) for _ in range(cert.rank(0))))
+            a = LimitElement(0, tuple(rnd.randint(-2, 2) for _ in range(cert.ranks[0])))
             neg = LimitElement(0, tuple(-x for x in a.vector))
             va = positive_at_depth(cert, a)
             vb = positive_at_depth(cert, neg)
             if va.status == "yes" and vb.status == "yes":
                 t = max(va.stage, vb.stage)
-                zero = LimitElement(t, tuple([0] * cert.rank(t)))
+                zero = LimitElement(t, tuple([0] * cert.ranks[t]))
                 v = eq_at_depth(cert, a, zero)
                 assert v.status == "yes" and v.stage <= t
 
 
 class TestShen:
     def test_kernel_already_dead(self):
-        cert = DimCertificate(
-            tuple(SimplicialGroup(1) for _ in range(4)),
-            tuple(PosMatrix(((1,),)) for _ in range(3)),
-        )
+        cert = bare_tower((1,) * 4, [PosMatrix(((1,),))] * 3)
         theta = LimitHom(0, ((1, 1),), positive=True)
         phi, tp = shen_factor(cert, theta, (1, -1))
         assert phi.entries == ((1, 1),)
@@ -218,72 +211,55 @@ class TestShen:
 class TestUnitalize:
     def test_already_strict_is_identity(self):
         cert = certificate_of_af(random_unital_sequence(random.Random(44), 3))
-        got = unitalize(DimCertificate(cert.stages, cert.bonds, unital=False))
-        assert got.stages == cert.stages
+        got = unitalize(Tower(cert.levels, cert.bonds, unital=False))
+        assert got.levels == cert.levels
         assert got.bonds == cert.bonds
         assert got.unital
 
     def test_cuts_dead_coordinate(self):
-        cert = DimCertificate(
-            (SimplicialGroup(2, (1, 0)), SimplicialGroup(2, (2, 0))),
-            (PosMatrix(((2, 0), (0, 3))),),
-        )
+        cert = Tower(((1, 0), (2, 0)), (PosMatrix(((2, 0), (0, 3))),))
         got = unitalize(cert)
-        assert [(g.rank, g.unit) for g in got.stages] == [(1, (1,)), (1, (2,))]
+        assert (got.ranks, got.levels) == ((1, 1), ((1,), (2,)))
         assert got.bonds[0].entries == ((2,),)
         assert got.unital
 
     def test_zero_unit_rejected(self):
-        cert = DimCertificate(
-            (SimplicialGroup(2, (0, 0)), SimplicialGroup(2, (0, 0))),
-            (PosMatrix(((1, 0), (0, 1))),),
-        )
-        with pytest.raises(ValueError):
+        cert = Tower(((0, 0), (0, 0)), (PosMatrix(((1, 0), (0, 1))),))
+        with pytest.raises(ValueError, match="stage 0 is zero"):
             unitalize(cert)
 
     def test_unit_transport_precondition(self):
-        cert = DimCertificate(
-            (SimplicialGroup(1, (1,)), SimplicialGroup(1, (3,))),
-            (PosMatrix(((2,),)),),
-        )
-        with pytest.raises(ValueError):
+        cert = Tower(((1,), (3,)), (PosMatrix(((2,),)),))
+        with pytest.raises(ValueError, match="carry the unit forward"):
             unitalize(cert)
+        with pytest.raises(ValueError, match="stage 0 has no unit"):
+            unitalize(Tower((None, (2,)), (PosMatrix(((2,),)),), ranks=(1, 1)))
 
 
 class TestAFBridge:
     def test_car_round_trip(self):
         cert = certificate_of_af(af_sequence_of_diagram(gen_car(4)))
-        assert [g.unit for g in cert.stages] == [(1,), (2,), (4,), (8,), (16,)]
+        assert cert.levels == ((1,), (2,), (4,), (8,), (16,))
         assert all(b.entries == ((2,),) for b in cert.bonds)
         seq = af_of_certificate(cert)
         assert seq == af_sequence_of_diagram(gen_car(4))
 
     def test_trivial_tower(self):
-        cert = DimCertificate(
-            (SimplicialGroup(1, (1,)), SimplicialGroup(1, (1,))),
-            (PosMatrix(((1,),)),),
-            unital=True,
-        )
+        cert = Tower(((1,), (1,)), (PosMatrix(((1,),)),), unital=True)
         seq = af_of_certificate(cert)
-        assert [f.summands for f in seq.algebras] == [(1,), (1,)]
+        assert seq.levels == ((1,), (1,))
 
     def test_unitless_synthesis(self):
-        cert = DimCertificate(
-            tuple(SimplicialGroup(1) for _ in range(4)),
-            tuple(PosMatrix(((2,),)) for _ in range(3)),
-        )
+        cert = bare_tower((1,) * 4, [PosMatrix(((2,),))] * 3)
         seq = af_of_certificate(cert)
-        assert [f.summands for f in seq.algebras] == [(1,), (2,), (4,), (8,)]
+        assert seq.levels == ((1,), (2,), (4,), (8,))
         assert af_sequence_violation(seq) is None
 
     def test_unitless_synthesis_pads_dead_rows(self):
-        cert = DimCertificate(
-            (SimplicialGroup(1), SimplicialGroup(2)),
-            (PosMatrix(((1,), (0,))),),
-        )
+        cert = bare_tower((1, 2), (PosMatrix(((1,), (0,))),))
         seq = af_of_certificate(cert)
         # the dead row gets the minimal unit 1
-        assert seq.algebras[1].summands == (1, 1)
+        assert seq.levels[1] == (1, 1)
 
     def test_round_trips_random(self):
         rnd = random.Random(45)
@@ -302,10 +278,10 @@ class TestAFBridge:
 )
 def test_eq_at_depth_monotone_in_depth(a_vec, b_vec, cut):
     # rank collapse at the first gap makes distinct elements merge
-    stages = (SimplicialGroup(2),) + tuple(SimplicialGroup(1) for _ in range(5))
+    ranks = (2, 1, 1, 1, 1, 1)
     bonds = (PosMatrix(((1, 1),)),) + tuple(PosMatrix(((2,),)) for _ in range(4))
-    deep = DimCertificate(stages, bonds)
-    shallow = DimCertificate(stages[: cut + 1], bonds[:cut])
+    deep = bare_tower(ranks, bonds)
+    shallow = bare_tower(ranks[: cut + 1], bonds[:cut])
     a = LimitElement(0, a_vec)
     b = LimitElement(0, b_vec)
     v_shallow = eq_at_depth(shallow, a, b)

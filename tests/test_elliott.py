@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from afkit.dimgroup import DimCertificate, LimitHom, certificate_of_af
+from afkit.dimgroup import LimitHom, certificate_of_af
 from afkit.elliott import (
     SeedNotFound,
     ZigzagWitness,
@@ -13,18 +13,15 @@ from afkit.elliott import (
     zigzag_violation,
 )
 from afkit.bratteli import af_sequence_of_diagram, gen_car
-from afkit.findim import AlgebraHom
+from afkit.findim import AlgebraHom, FinDimAlgebra
 from afkit.dimgroup import af_of_certificate
-from afkit.ordgrp import PosMatrix, SimplicialGroup, compose
+from afkit.ordgrp import PosMatrix, Tower, compose
 
-from helpers import certificate_of_diagram, relabel, uhf_certificate, wide_diagram
+from helpers import bare_tower, certificate_of_diagram, relabel, uhf_certificate, wide_diagram
 
 
 def collapse_cert():
-    return DimCertificate(
-        (SimplicialGroup(2), SimplicialGroup(1), SimplicialGroup(1)),
-        (PosMatrix(((1, 1),)), PosMatrix(((1,),))),
-    )
+    return bare_tower((2, 1, 1), (PosMatrix(((1, 1),)), PosMatrix(((1,),))))
 
 
 class TestIntertwineStage:
@@ -61,10 +58,7 @@ class TestIntertwineStage:
 
     def test_signed_representative_is_lifted(self):
         # mu carried by a signed matrix that becomes nonnegative after one push
-        cert = DimCertificate(
-            (SimplicialGroup(2), SimplicialGroup(2), SimplicialGroup(2)),
-            (PosMatrix(((1, 0), (1, 1))), PosMatrix.identity(2)),
-        )
+        cert = bare_tower((2, 2, 2), (PosMatrix(((1, 0), (1, 1))), PosMatrix.identity(2)))
         mu = LimitHom(0, ((1,), (-1,)), positive=False)
         gamma = PosMatrix(((1,), (0,)))
         # nu_0(e1) = mu(gamma e1) requires e1 = (1,-1) in the limit: false
@@ -113,11 +107,7 @@ class TestBuildZigzag:
 
     def test_seed_not_found(self):
         # no positive unit-preserving map from unit (1,1) into unit (3,)
-        left = DimCertificate(
-            (SimplicialGroup(1, (2,)), SimplicialGroup(1, (4,))),
-            (PosMatrix(((2,),)),),
-            unital=True,
-        )
+        left = Tower(((2,), (4,)), (PosMatrix(((2,),)),), unital=True)
         right = uhf_certificate(3, 2)
         for budget in (0, 100_000):
             with pytest.raises(SeedNotFound):
@@ -148,9 +138,15 @@ class TestBuildZigzag:
         assert verify_zigzag(w, car, car)
 
     def test_needs_unital(self):
-        bare = DimCertificate((SimplicialGroup(1), SimplicialGroup(1)), (PosMatrix(((2,),)),))
-        with pytest.raises(ValueError):
+        bare = bare_tower((1, 1), (PosMatrix(((2,),)),))
+        with pytest.raises(ValueError, match="needs unital certificates"):
             build_zigzag(bare, bare, depth=1)
+        # the unital claim is checked where it is relied on
+        broken = Tower(((1,), (3,)), (PosMatrix(((2,),)),), unital=True)
+        seed = ZigzagWitness((0,), (0,), (PosMatrix(((1,),)),), ())
+        for check in (lambda: build_zigzag(broken, broken, depth=1), lambda: zigzag_violation(seed, broken, broken)):
+            with pytest.raises(ValueError, match="bond at gap 0 does not carry the unit forward"):
+                check()
 
     def test_witness_converts_to_algebra_homs(self):
         # the K0-level identities realize as multiplicity identities of homs
@@ -160,9 +156,9 @@ class TestBuildZigzag:
         seqA = af_of_certificate(car)
         seqB = af_of_certificate(car4)
         for s in range(w.depth):
-            FA = seqA.algebras[w.n_stages[s]]
-            FAn = seqA.algebras[w.n_stages[s + 1]]
-            FB = seqB.algebras[w.m_stages[s]]
+            FA = FinDimAlgebra(seqA.levels[w.n_stages[s]])
+            FAn = FinDimAlgebra(seqA.levels[w.n_stages[s + 1]])
+            FB = FinDimAlgebra(seqB.levels[w.m_stages[s]])
             sigma = AlgebraHom(FA, FB, w.alphas[s])
             tau = AlgebraHom(FB, FAn, w.betas[s])
             assert AlgebraHom(FA, FAn, compose(tau.mult, sigma.mult)).mult == car.bond_product(

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from afkit.findim import (
-    AFSequence,
     AlgebraHom,
     FinDimAlgebra,
     SizeViolation,
@@ -11,7 +10,8 @@ from afkit.findim import (
     k0,
 )
 from afkit.bratteli import af_sequence_of_diagram, gen_car
-from afkit.ordgrp import PosMatrix, apply, compose
+from afkit.jsonio import SchemaError, sequence_from_obj
+from afkit.ordgrp import PosMatrix, Tower, apply, compose
 
 from helpers import random_algebra, random_hom
 
@@ -25,12 +25,11 @@ class TestAlgebra:
             FinDimAlgebra((0,))
 
     def test_k0(self):
-        g = k0(FinDimAlgebra((1,)))
-        assert (g.rank, g.unit) == (1, (1,))
+        assert k0(FinDimAlgebra((1,))) == Tower(((1,),), (), unital=True)
         g = k0(FinDimAlgebra((2, 3)))
-        assert (g.rank, g.unit) == (2, (2, 3))
+        assert (g.ranks, g.levels) == ((2,), ((2, 3),))
         g = k0(FinDimAlgebra((2, 2)))
-        assert (g.rank, g.unit) == (2, (2, 2))
+        assert (g.ranks, g.levels) == ((2,), ((2, 2),))
 
 
 class TestHoms:
@@ -43,7 +42,7 @@ class TestHoms:
         h = AlgebraHom(FinDimAlgebra((1,)), FinDimAlgebra((2, 3)), PosMatrix(((2,), (3,))))
         assert h.is_unital()
         assert h.mult.entries == ((2,), (3,))
-        assert apply(h.mult, k0(h.source).unit) == k0(h.target).unit
+        assert apply(h.mult, k0(h.source).levels[0]) == k0(h.target).levels[0]
 
     def test_hom_from_matrix(self):
         # the constructor realizes a positive K0 matrix when the sizes admit it
@@ -73,12 +72,15 @@ class TestHoms:
             AlgebraHom(f.source, f.target, compose(f.mult, f.mult))
 
     def test_unital_injective_flags(self):
+        def violation(h):
+            return af_sequence_violation(Tower((h.source.summands, h.target.summands), (h.mult,)))
+
         h = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((4,)), PosMatrix(((2,),)))
-        assert h.is_unital() and h.is_injective()
+        assert h.is_unital() and violation(h) is None
         h = AlgebraHom(FinDimAlgebra((2,)), FinDimAlgebra((5,)), PosMatrix(((2,),)))
-        assert not h.is_unital() and h.is_injective()
-        h = AlgebraHom(FinDimAlgebra((1, 1)), FinDimAlgebra((2,)), PosMatrix(((1, 0),)))
-        assert not h.is_injective()
+        assert not h.is_unital() and violation(h) == (0, "non-unital")
+        h = AlgebraHom(FinDimAlgebra((1, 1)), FinDimAlgebra((2,)), PosMatrix(((2, 0),)))
+        assert h.is_unital() and violation(h) == (0, "non-injective")
 
     def test_round_trip_hom_matrix(self):
         rnd = random.Random(5)
@@ -99,34 +101,30 @@ class TestHoms:
         rnd = random.Random(7)
         for _ in range(100):
             h = random_hom(rnd, random_algebra(rnd), unital=True)
-            assert apply(h.mult, k0(h.source).unit) == k0(h.target).unit
+            assert apply(h.mult, k0(h.source).levels[0]) == k0(h.target).levels[0]
 
 
 class TestAFSequence:
     def test_car_prefix_valid(self):
         seq = af_sequence_of_diagram(gen_car(2))
-        assert [f.summands for f in seq.algebras] == [(1,), (2,), (4,)]
+        assert seq.levels == ((1,), (2,), (4,))
         assert af_sequence_violation(seq) is None
 
     def test_single_algebra(self):
-        seq = AFSequence((FinDimAlgebra((3,)),), ())
+        seq = Tower(((3,),), ())
         assert af_sequence_violation(seq) is None
 
     def test_non_unital_reported_with_stage(self):
-        a = FinDimAlgebra((1,))
-        b = FinDimAlgebra((2,))
-        c = FinDimAlgebra((5,))
-        seq = AFSequence(
-            (a, b, c),
-            (
-                AlgebraHom(a, b, PosMatrix(((2,),))),
-                AlgebraHom(b, c, PosMatrix(((2,),))),
-            ),
-        )
+        seq = Tower(((1,), (2,), (5,)), (PosMatrix(((2,),)), PosMatrix(((2,),))))
         assert af_sequence_violation(seq) == (1, "non-unital")
 
     def test_chaining_enforced(self):
-        a = FinDimAlgebra((1,))
-        b = FinDimAlgebra((2,))
-        with pytest.raises(ValueError):
-            AFSequence((a, a), (AlgebraHom(a, b, PosMatrix(((2,),))),))
+        # the AF encoding names each hom's source and target; they must be the adjacent algebras
+        a, b = {"summands": [1]}, {"summands": [2]}
+        hom = {"source": a, "target": b, "mult": [[2]]}
+        with pytest.raises(SchemaError, match="hom at stage 0 does not chain"):
+            sequence_from_obj({"algebras": [a, a], "homs": [hom]})
+        with pytest.raises(SchemaError, match="hom at stage 1 does not chain"):
+            sequence_from_obj({"algebras": [a, b], "homs": [hom, hom]})
+        got = sequence_from_obj({"algebras": [a, b], "homs": [hom]})
+        assert got == Tower(((1,), (2,)), (PosMatrix(((2,),)),), unital=True)

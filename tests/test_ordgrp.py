@@ -2,15 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afkit.dimgroup import unit_violation
 from afkit.ordgrp import (
     PosMatrix,
-    SimplicialGroup,
+    Tower,
     apply,
     compose,
     convex_basis,
     restrict_to_convex,
     vector,
 )
+
+
+def is_strict_unit(u) -> bool:
+    """u is an order unit of Z^len(u): the one-level unital claim holds."""
+    return unit_violation(Tower((u,), (), unital=True)) is None
 
 
 def small_matrix(max_dim=3, max_entry=4):
@@ -82,14 +88,14 @@ class TestApply:
 
 class TestOrderUnit:
     def test_all_ones(self):
-        assert SimplicialGroup(2, (1, 1)).has_strict_unit()
+        assert is_strict_unit((1, 1))
 
     def test_zero_component_fails(self):
         # g = (1, 0) admits no n with n*u >= g when u = (0, 1)
-        assert not SimplicialGroup(2, (0, 1)).has_strict_unit()
+        assert not is_strict_unit((0, 1))
 
     def test_componentwise_bound(self):
-        assert SimplicialGroup(3, (3, 2, 7)).has_strict_unit()
+        assert is_strict_unit((3, 2, 7))
 
 
 class TestConvex:
@@ -101,7 +107,7 @@ class TestConvex:
     def test_full_basis_is_order_unit(self):
         u = (2, 1, 4)
         assert convex_basis(u) == (1, 2, 3)
-        assert SimplicialGroup(3, u).has_strict_unit()
+        assert is_strict_unit(u)
 
 
 class TestRestrictToConvex:
@@ -129,18 +135,32 @@ class TestRestrictToConvex:
 
 
 class TestSimplicialGroup:
+    # one level of a Tower: Z^rank with an optional unit vector
     def test_unit_length_checked(self):
-        with pytest.raises(ValueError):
-            SimplicialGroup(2, (1,))
+        with pytest.raises(ValueError, match="equal its vector's length"):
+            Tower(((1,),), (), ranks=(2,))
 
     def test_nonstrict_unit_tolerated(self):
-        g = SimplicialGroup(2, (1, 0))
-        assert not g.has_strict_unit()
-        assert SimplicialGroup(2, (1, 2)).has_strict_unit()
+        assert Tower(((1, 0),), ()).ranks == (2,)
+        assert not is_strict_unit((1, 0))
+        assert is_strict_unit((1, 2))
 
     def test_negative_unit_rejected(self):
-        with pytest.raises(ValueError):
-            SimplicialGroup(2, (1, -1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            Tower(((1, -1),), ())
+
+    def test_unitless_levels_need_ranks(self):
+        with pytest.raises(ValueError, match="needs ranks"):
+            Tower((None,), ())
+        t = Tower((None, (2,)), (PosMatrix(((2,),)),), ranks=(1, 1))
+        assert (t.ranks, t.depth) == ((1, 1), 1)
+        assert t == Tower((None, (2,)), (PosMatrix(((2,),)),), ranks=[1, 1])
+
+    def test_bonds_chain_the_ranks(self):
+        with pytest.raises(ValueError, match="one bond per gap"):
+            Tower(((1,), (2,)), ())
+        with pytest.raises(ValueError, match="gap 0 does not match"):
+            Tower(((1,), (1, 1)), (PosMatrix(((1,),)),))
 
 
 def test_vector_rejects_empty_and_floats():
