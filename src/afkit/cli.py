@@ -2,11 +2,13 @@
 
 Every subcommand is a thin adapter around one library call: it decodes JSON
 from a file (or stdin, written as "-" or omitted), invokes the call, and
-prints the canonical JSON of the result. Verdict-shaped commands exit 0 for
-ok, 1 for refuted, 2 for unknown-at-depth/budget, 3 for malformed input or
-bad arguments; conversions exit 0 or 3. Exit 1 always names its witness: the
-offending vertex, stage or violation. Nothing unbounded runs by default:
-depth defaults to 8 and search budgets to 100000 nodes.
+prints the canonical JSON of the result. A printed document with a "status"
+sets the exit code through EXIT alone: 0 ok, 1 refuted, 2 unknown at the
+depth/budget, 3 malformed input or bad arguments. Outputs without a status
+exit 0; perturb-demo exits 1 when its report does not pass. Exit 1 always
+names its witness: the offending vertex, stage or violation. Nothing
+unbounded runs by default: depth defaults to 8 and search budgets to 100000
+nodes.
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ import json
 import sys
 from . import bratteli, dimgroup, elliott, findim, jsonio
 
-EXIT_OK = 0
-EXIT_REFUTED = 1
-EXIT_UNKNOWN = 2
-EXIT_INPUT_ERROR = 3
+EXIT = {"ok": 0, "refuted": 1, "unknown": 2, "input-error": 3}
 
 DEFAULT_DEPTH = 8
 DEFAULT_BUDGET = 100_000
@@ -57,6 +56,12 @@ def _read_payload(path: str):
 
 def _emit(obj) -> None:
     sys.stdout.write(jsonio.canonical_dumps(obj))
+
+
+def _answer(doc: dict) -> int:
+    """Print a status document; its status is the only thing that sets the exit code."""
+    _emit(doc)
+    return EXIT[doc["status"]]
 
 
 def _parse_ints(text: str, flag: str) -> tuple:
@@ -97,37 +102,23 @@ def cmd_validate(args) -> int:
         diagram = jsonio.diagram_from_obj(payload)
         bad = bratteli.consistency_violation(diagram)
         if bad is None:
-            _emit({"status": "ok", "kind": kind, "depth": diagram.depth})
-            return EXIT_OK
-        _emit({"status": "refuted", "kind": kind, "vertex": list(bad[0]), "reason": bad[1]})
-        return EXIT_REFUTED
+            return _answer({"status": "ok", "kind": kind, "depth": diagram.depth})
+        return _answer({"status": "refuted", "kind": kind, "vertex": list(bad[0]), "reason": bad[1]})
     if kind == "sequence":
         seq = jsonio.sequence_from_obj(payload)
         bad = findim.af_sequence_violation(seq)
         if bad is None:
-            _emit({"status": "ok", "kind": kind, "depth": seq.depth})
-            return EXIT_OK
-        _emit({"status": "refuted", "kind": kind, "stage": bad[0], "reason": bad[1]})
-        return EXIT_REFUTED
+            return _answer({"status": "ok", "kind": kind, "depth": seq.depth})
+        return _answer({"status": "refuted", "kind": kind, "stage": bad[0], "reason": bad[1]})
     if kind == "certificate":
         claims_unital = jsonio.bool_field(payload, "unital")
         cert = jsonio.certificate_from_obj({**payload, "unital": False})
         bad = dimgroup.unit_violation(cert) if claims_unital else None
         if bad is not None:
-            _emit({"status": "refuted", "kind": kind, "reason": bad})
-            return EXIT_REFUTED
-        _emit({"status": "ok", "kind": kind, "depth": cert.depth})
-        return EXIT_OK
+            return _answer({"status": "refuted", "kind": kind, "reason": bad})
+        return _answer({"status": "ok", "kind": kind, "depth": cert.depth})
     getattr(jsonio, f"{kind}_from_obj")(payload)  # algebra, zigzag or equivalence
-    _emit({"status": "ok", "kind": kind})
-    return EXIT_OK
-
-
-def cmd_k0(args) -> int:
-    algebra = jsonio.algebra_from_obj(_read_payload(args.file))
-    group = findim.k0(algebra)
-    _emit({"rank": group.ranks[0], "unit": list(group.levels[0])})
-    return EXIT_OK
+    return _answer({"status": "ok", "kind": kind})
 
 
 def cmd_path_count(args) -> int:
@@ -135,23 +126,22 @@ def cmd_path_count(args) -> int:
     u = _parse_vertex(getattr(args, "from"), "--from")
     v = _parse_vertex(args.to, "--to")
     _emit(bratteli.path_count(diagram, u, v))
-    return EXIT_OK
+    return 0
 
 
 def cmd_telescope(args) -> int:
     diagram = jsonio.diagram_from_obj(_read_payload(args.file))
     stages = _parse_ints(args.stages, "--stages")
     _emit(jsonio.diagram_to_obj(bratteli.telescope(diagram, stages)))
-    return EXIT_OK
+    return 0
 
 
 def cmd_simple(args) -> int:
     diagram = jsonio.diagram_from_obj(_read_payload(args.file))
     verdict = bratteli.simplicity_window(diagram)
     if verdict.witnessed:
-        _emit({"status": "ok", "witnessed": True, "depth": verdict.depth})
-        return EXIT_OK
-    _emit(
+        return _answer({"status": "ok", "witnessed": True, "depth": verdict.depth})
+    return _answer(
         {
             "status": "unknown",
             "witnessed": False,
@@ -159,7 +149,6 @@ def cmd_simple(args) -> int:
             "blocked": list(verdict.blocked),
         }
     )
-    return EXIT_UNKNOWN
 
 
 def cmd_supernatural(args) -> int:
@@ -168,39 +157,14 @@ def cmd_supernatural(args) -> int:
     exponents = {str(p): e for p, e in factors.items()}
     if cofactor == 1:
         _emit(exponents)
-        return EXIT_OK
-    _emit({"status": "unknown", "factors": exponents, "cofactor": cofactor})
-    return EXIT_UNKNOWN
+        return 0
+    return _answer({"status": "unknown", "factors": exponents, "cofactor": cofactor})
 
 
-def cmd_af_to_diagram(args) -> int:
-    seq = jsonio.sequence_from_obj(_read_payload(args.file))
-    _emit(jsonio.diagram_to_obj(dimgroup.certificate_of_af(seq)))
-    return EXIT_OK
-
-
-def cmd_diagram_to_af(args) -> int:
-    diagram = jsonio.diagram_from_obj(_read_payload(args.file))
-    _emit(jsonio.sequence_to_obj(bratteli.af_sequence_of_diagram(diagram)))
-    return EXIT_OK
-
-
-def cmd_af_to_cert(args) -> int:
-    seq = jsonio.sequence_from_obj(_read_payload(args.file))
-    _emit(jsonio.certificate_to_obj(dimgroup.certificate_of_af(seq)))
-    return EXIT_OK
-
-
-def cmd_cert_to_af(args) -> int:
-    cert = jsonio.certificate_from_obj(_read_payload(args.file))
-    _emit(jsonio.sequence_to_obj(dimgroup.af_of_certificate(cert)))
-    return EXIT_OK
-
-
-def cmd_unitalize(args) -> int:
-    cert = jsonio.certificate_from_obj(_read_payload(args.file))
-    _emit(jsonio.certificate_to_obj(dimgroup.unitalize(cert)))
-    return EXIT_OK
+def cmd_convert(args) -> int:
+    decode, call, encode = args.convert
+    _emit(encode(call(decode(_read_payload(args.file)))))
+    return 0
 
 
 def cmd_shen(args) -> int:
@@ -213,17 +177,15 @@ def cmd_shen(args) -> int:
     factored = dimgroup.shen_factor(cert, theta, alpha)
     if factored is None:
         reason = f"theta.matrix @ alpha survives every stage up to depth {cert.depth}"
-        _emit({"status": "unknown", "depth": cert.depth, "reason": reason})
-        return EXIT_UNKNOWN
+        return _answer({"status": "unknown", "depth": cert.depth, "reason": reason})
     phi, theta_prime = factored
-    _emit(
+    return _answer(
         {
             "status": "ok",
             "phi": jsonio.matrix_to_obj(phi),
             "thetaPrime": jsonio.limit_hom_to_obj(theta_prime),
         }
     )
-    return EXIT_OK
 
 
 def cmd_equiv(args) -> int:
@@ -231,10 +193,8 @@ def cmd_equiv(args) -> int:
     d2 = jsonio.diagram_from_obj(_read_payload(args.right))
     witness = bratteli.equivalence_search(d1, d2, budget=args.budget)
     if witness is None:
-        _emit({"status": "unknown", "budget": args.budget})
-        return EXIT_UNKNOWN
-    _emit({"status": "ok", "witness": jsonio.equivalence_to_obj(witness)})
-    return EXIT_OK
+        return _answer({"status": "unknown", "budget": args.budget})
+    return _answer({"status": "ok", "witness": jsonio.equivalence_to_obj(witness)})
 
 
 def cmd_zigzag(args) -> int:
@@ -243,13 +203,11 @@ def cmd_zigzag(args) -> int:
     try:
         witness = elliott.build_zigzag(certA, certB, depth=args.depth, budget=args.budget)
     except elliott.SeedNotFound as exc:
-        _emit({"status": "unknown", "reason": str(exc)})
-        return EXIT_UNKNOWN
+        return _answer({"status": "unknown", "reason": str(exc)})
     payload = jsonio.zigzag_to_obj(witness) if witness is not None else None
     if witness is not None and witness.depth == args.depth:
-        _emit({"status": "ok", "witness": payload})
-        return EXIT_OK
-    _emit(
+        return _answer({"status": "ok", "witness": payload})
+    return _answer(
         {
             "status": "unknown",
             "requested": args.depth,
@@ -257,7 +215,6 @@ def cmd_zigzag(args) -> int:
             "witness": payload,
         }
     )
-    return EXIT_UNKNOWN
 
 
 def cmd_verify_zigzag(args) -> int:
@@ -266,19 +223,18 @@ def cmd_verify_zigzag(args) -> int:
     certB = jsonio.certificate_from_obj(_read_payload(args.right))
     violation = elliott.zigzag_violation(witness, certA, certB)
     if violation is None:
-        _emit({"status": "ok", "depth": witness.depth})
-        return EXIT_OK
-    _emit({"status": "refuted", "violation": violation})
-    return EXIT_REFUTED
+        return _answer({"status": "ok", "depth": witness.depth})
+    return _answer({"status": "refuted", "violation": violation})
 
 
 def cmd_gen(args) -> int:
     if args.kind == "car":
-        _emit(jsonio.diagram_to_obj(bratteli.gen_car(args.depth)))
-        return EXIT_OK
-    table = _parse_table(args.table) if args.table is not None else {}
-    _emit(jsonio.diagram_to_obj(bratteli.gen_trace_diagram(table, args.depth)))
-    return EXIT_OK
+        diagram = bratteli.gen_car(args.depth)
+    else:
+        table = _parse_table(args.table) if args.table is not None else {}
+        diagram = bratteli.gen_trace_diagram(table, args.depth)
+    _emit(jsonio.diagram_to_obj(diagram))
+    return 0
 
 
 def cmd_moduli(args) -> int:
@@ -303,7 +259,7 @@ def cmd_moduli(args) -> int:
         "squarePartitions": [list(p) for p in perturb.square_partitions(n)],
     }
     _emit(out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_perturb_demo(args) -> int:
@@ -317,7 +273,7 @@ def cmd_perturb_demo(args) -> int:
     }
     report["pass"] = report["exchange"]["pass"] and report["glimm"]["pass"]
     _emit(report)
-    return EXIT_OK if report["pass"] else EXIT_REFUTED
+    return EXIT["ok" if report["pass"] else "refuted"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -327,78 +283,76 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
+    def add(name, handler, file=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
+        if file:
+            p.add_argument("file", nargs="?", default="-")
         return p
 
-    p = add("validate", cmd_validate, help="validate a diagram/sequence/certificate file")
-    p.add_argument("file", nargs="?", default="-")
-
-    p = add("k0", cmd_k0, help="scaled K0 group of a finite-dimensional algebra")
-    p.add_argument("file", nargs="?", default="-")
+    add("validate", cmd_validate, help="validate a diagram/sequence/certificate file")
 
     p = add("path-count", cmd_path_count, help="count paths between two vertices")
-    p.add_argument("file", nargs="?", default="-")
     p.add_argument("--from", required=True, help="source vertex LEVEL,INDEX")
     p.add_argument("--to", required=True, help="target vertex LEVEL,INDEX")
 
     p = add("telescope", cmd_telescope, help="telescope a diagram to selected levels")
-    p.add_argument("file", nargs="?", default="-")
     p.add_argument("--stages", required=True, help="comma-separated level selection, starting 0")
 
-    p = add("simple", cmd_simple, help="full-connectivity window check")
-    p.add_argument("file", nargs="?", default="-")
+    add("simple", cmd_simple, help="full-connectivity window check")
 
     p = add("supernatural", cmd_supernatural, help="prime-exponent prefix of a single-vertex diagram")
-    p.add_argument("file", nargs="?", default="-")
     p.add_argument("--depth", type=int, default=None)
 
-    p = add("af-to-diagram", cmd_af_to_diagram, help="standard diagram of an AF sequence")
-    p.add_argument("file", nargs="?", default="-")
+    # name: (help, decode, library call, encode). Built here, not at module
+    # level: the benchmark's tracer rebinds module attributes before main runs,
+    # and a table made at import would keep the unwrapped functions.
+    conversions = {
+        "k0": ("scaled K0 group of a finite-dimensional algebra",
+               jsonio.algebra_from_obj, findim.k0, lambda g: {"rank": g.ranks[0], "unit": list(g.levels[0])}),
+        "af-to-diagram": ("standard diagram of an AF sequence",
+                          jsonio.sequence_from_obj, dimgroup.certificate_of_af, jsonio.diagram_to_obj),
+        "diagram-to-af": ("AF sequence of a unital diagram",
+                          jsonio.diagram_from_obj, bratteli.af_sequence_of_diagram, jsonio.sequence_to_obj),
+        "af-to-cert": ("K0 certificate of an AF sequence",
+                       jsonio.sequence_from_obj, dimgroup.certificate_of_af, jsonio.certificate_to_obj),
+        "cert-to-af": ("AF sequence of a certificate",
+                       jsonio.certificate_from_obj, dimgroup.af_of_certificate, jsonio.sequence_to_obj),
+        "unitalize": ("restrict a unit-carrying certificate to its convex subgroups",
+                      jsonio.certificate_from_obj, dimgroup.unitalize, jsonio.certificate_to_obj),
+    }
+    for name, (help_text, decode, call, encode) in conversions.items():
+        add(name, cmd_convert, help=help_text).set_defaults(convert=(decode, call, encode))
 
-    p = add("diagram-to-af", cmd_diagram_to_af, help="AF sequence of a unital diagram")
-    p.add_argument("file", nargs="?", default="-")
+    add("shen", cmd_shen, help="factor a positive limit hom through a kernel-killing stage")
 
-    p = add("af-to-cert", cmd_af_to_cert, help="K0 certificate of an AF sequence")
-    p.add_argument("file", nargs="?", default="-")
-
-    p = add("cert-to-af", cmd_cert_to_af, help="AF sequence of a certificate")
-    p.add_argument("file", nargs="?", default="-")
-
-    p = add("unitalize", cmd_unitalize, help="restrict a unit-carrying certificate to its convex subgroups")
-    p.add_argument("file", nargs="?", default="-")
-
-    p = add("shen", cmd_shen, help="factor a positive limit hom through a kernel-killing stage")
-    p.add_argument("file", nargs="?", default="-")
-
-    p = add("equiv", cmd_equiv, help="search for an equivalence witness between two diagrams")
+    p = add("equiv", cmd_equiv, file=False, help="search for an equivalence witness between two diagrams")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("zigzag", cmd_zigzag, help="build an intertwining witness between two certificates")
+    p = add("zigzag", cmd_zigzag, file=False, help="build an intertwining witness between two certificates")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("verify-zigzag", cmd_verify_zigzag, help="recheck a zigzag witness")
+    p = add("verify-zigzag", cmd_verify_zigzag, file=False, help="recheck a zigzag witness")
     p.add_argument("witness")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = add("gen", cmd_gen, help="generate an example diagram")
+    p = add("gen", cmd_gen, file=False, help="generate an example diagram")
     p.add_argument("kind", choices=["car", "trace"])
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--table", default=None, help="halting table for trace: steps or '-' per input, comma-separated")
 
-    p = add("moduli", cmd_moduli, help="print the exact perturbation moduli")
+    p = add("moduli", cmd_moduli, file=False, help="print the exact perturbation moduli")
     p.add_argument("--eps", default="1/2", help="rational in (0,1), e.g. 1/2")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
 
-    p = add("perturb-demo", cmd_perturb_demo, help="seeded numeric exchange/conjugation demo")
+    p = add("perturb-demo", cmd_perturb_demo, file=False, help="seeded numeric exchange/conjugation demo")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--d", type=int, default=None)
@@ -409,15 +363,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Integers of any size are valid data, read and printed exactly; Python 3.11
+    # caps int<->str conversion at 4300 digits (3.10.6 and older have no cap).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
     except bratteli.ConsistencyError as exc:
-        _emit({"status": "refuted", "vertex": list(exc.vertex), "error": str(exc)})
-        return EXIT_REFUTED
+        return _answer({"status": "refuted", "vertex": list(exc.vertex), "error": str(exc)})
     except ValueError as exc:  # _InputError, jsonio.SchemaError and library argument errors
-        _emit({"status": "input-error", "error": str(exc)})
-        return EXIT_INPUT_ERROR
+        return _answer({"status": "input-error", "error": str(exc)})
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bratteli import EquivalenceWitness, WitnessStep
 from .dimgroup import LimitHom, unit_violation
 from .elliott import ZigzagWitness
-from .findim import AlgebraHom, FinDimAlgebra
+from .findim import AlgebraHom, FinDimAlgebra, sorted_tower
 from .ordgrp import PosMatrix, Tower
 
 
@@ -125,10 +125,14 @@ def algebra_from_obj(obj, path: str = "algebra") -> FinDimAlgebra:
 
 
 def hom_from_obj(obj, path: str = "hom") -> AlgebraHom:
+    """A hom whose mult rows and columns follow its own target and source summands as given."""
     o = _expect_dict(obj, path)
     source = algebra_from_obj(o.get("source"), f"{path}.source")
     target = algebra_from_obj(o.get("target"), f"{path}.target")
     mult = matrix_from_obj(o.get("mult"), f"{path}.mult")
+    if (mult.rows, mult.cols) == (len(target), len(source)):  # else AlgebraHom names the shape
+        given = (o["source"]["summands"], o["target"]["summands"])
+        mult = sorted_tower(given, (mult,)).bonds[0]  # the algebras sort their blocks the same way
     try:
         return AlgebraHom(source, target, mult)
     except ValueError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import importlib
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afkit
-from afkit import bratteli, dimgroup, jsonio, ordgrp, perturb
-from afkit.cli import main
+from afkit import bratteli, dimgroup, elliott, jsonio, ordgrp, perturb
+from afkit.cli import _build_parser, main
 
 from helpers import uhf_certificate
 
@@ -244,6 +245,21 @@ class TestConversions:
         assert code == 2
         assert out == '{"cofactor":%d,"factors":{"2":1},"status":"unknown"}\n' % n
 
+    def test_hom_mult_follows_its_own_summand_order(self, capsys, tmp_path):
+        # mult rows and columns index the hom's target and source summands as written
+        def seq(target, mult):
+            hom = {"source": {"summands": [1]}, "target": {"summands": target}, "mult": mult}
+            return {"algebras": [{"summands": [1]}, {"summands": target}], "homs": [hom]}
+
+        unsorted = write(tmp_path, "unsorted.json", seq([2, 1], [[2], [1]]))
+        by_hand = write(tmp_path, "sorted.json", seq([1, 2], [[1], [2]]))
+        for command in ("validate", "af-to-cert", "af-to-diagram"):
+            code, out = run(capsys, [command, unsorted])
+            assert code == 0 and (code, out) == run(capsys, [command, by_hand]), command
+        # the block of size 1 gets load 2 in the order given, so sorting cannot rescue it
+        code, out = run(capsys, ["af-to-cert", write(tmp_path, "over.json", seq([2, 1], [[1], [2]]))])
+        assert code == 3 and "overflows" in json.loads(out)["error"]
+
     def test_unitalize(self, capsys, tmp_path):
         cert_obj = {
             "stages": [{"rank": 2, "unit": [1, 0]}, {"rank": 2, "unit": [2, 0]}],
@@ -450,6 +466,142 @@ def test_bad_arguments_are_input_errors(capsys, tmp_path, argv, stdin, named):
     assert named in payload["error"]
 
 
+def test_integers_of_any_size(capsys):
+    # Python caps int<->str conversion at 4300 digits unless the CLI lifts the cap
+    big = 10**2200
+    diagram = jsonio.canonical_dumps({"levels": [[1], [1], [1]], "edges": [[[big]], [[big]]], "unital": False})
+    code, out = run(capsys, ["telescope", "--stages", "0,2"], stdin=diagram)
+    assert code == 0 and json.loads(out)["edges"] == [[[big * big]]]
+    code, out = run(capsys, ["path-count", "--from", "0,0", "--to", "2,0"], stdin=diagram)
+    assert code == 0 and json.loads(out) == big * big
+    label = "1" + "0" * 4499
+    text = '{"edges":[[[%s]]],"levels":[[1],[%s]],"unital":true}' % (label, label)
+    code, out = run(capsys, ["validate"], stdin=text)
+    assert (code, out) == (0, '{"depth":1,"kind":"diagram","status":"ok"}\n')
+
+
+def test_printed_status_alone_sets_the_exit_code(capsys, tmp_path, monkeypatch):
+    exit_of = {"ok": 0, "refuted": 1, "unknown": 2, "input-error": 3}
+    car3_cert = jsonio.certificate_from_obj(json.loads(CAR3_CERT))
+    witness = jsonio.zigzag_to_obj(elliott.build_zigzag(car3_cert, car3_cert, depth=2, budget=1000))
+    shen_cert = {"stages": [{"rank": 2}, {"rank": 1}, {"rank": 1}], "bonds": [[[1, 1]], [[1]]], "unital": False}
+    n = (10**30 + 57) * (3 * 10**30 + 91)
+    files = {
+        "DIAGRAM": CAR3,
+        "CERT": CAR3_CERT,
+        "BAD_UNITAL": {"levels": [[1], [3]], "edges": [[[2]]], "unital": True},
+        "NON_UNITAL_SEQ": {
+            "algebras": [{"summands": [1]}, {"summands": [3]}],
+            "homs": [{"source": {"summands": [1]}, "target": {"summands": [3]}, "mult": [[2]]}],
+        },
+        "BROKEN_CERT": {"stages": [{"rank": 1, "unit": [1]}, {"rank": 1, "unit": [3]}], "bonds": [[[2]]], "unital": True},
+        "NESTED": NESTED,
+        "BLOCKED": jsonio.diagram_to_obj(bratteli.gen_trace_diagram({0: 2, 1: None}, 8)),
+        "THREE": jsonio.diagram_to_obj(
+            ordgrp.Tower(tuple((3**s,) for s in range(4)), (ordgrp.PosMatrix(((3,),)),) * 3, unital=True)
+        ),
+        "COFACTOR": {"levels": [[1], [2 * n]], "edges": [[[2 * n]]], "unital": True},
+        "SHEN": {"cert": shen_cert, "theta": {"stage": 0, "matrix": [[1, 0], [0, 1]], "positive": True}, "alpha": [1, -1]},
+        "SHEN_UNKNOWN": {
+            "cert": {"stages": [{"rank": 1}, {"rank": 1}], "bonds": [[[2]]], "unital": False},
+            "theta": {"stage": 0, "matrix": [[1]], "positive": True},
+            "alpha": [1],
+        },
+        "NO_SEED": jsonio.certificate_to_obj(ordgrp.Tower(((2,), (4,)), (ordgrp.PosMatrix(((2,),)),), unital=True)),
+        "UHF3": jsonio.certificate_to_obj(uhf_certificate(3, 2)),
+        "WITNESS": witness,
+        "BAD_WITNESS": {**witness, "alpha": [[[x + 1 for x in row] for row in m] for m in witness["alpha"]]},
+        "ALGEBRA": {"summands": [2, 3]},
+        "SEQ": jsonio.sequence_to_obj(bratteli.af_sequence_of_diagram(bratteli.gen_car(3))),
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(obj if isinstance(obj, str) else jsonio.canonical_dumps(obj))
+    cases = [
+        ["validate", "DIAGRAM"],
+        ["validate", "BAD_UNITAL"],
+        ["validate", "NON_UNITAL_SEQ"],
+        ["validate", "BROKEN_CERT"],
+        ["validate", "NESTED"],
+        ["simple", "DIAGRAM"],
+        ["simple", "BLOCKED"],
+        ["supernatural", "DIAGRAM"],
+        ["supernatural", "COFACTOR"],
+        ["shen", "SHEN"],
+        ["shen", "SHEN_UNKNOWN"],
+        ["shen", "DIAGRAM"],
+        ["equiv", "DIAGRAM", "DIAGRAM"],
+        ["equiv", "DIAGRAM", "THREE"],
+        ["zigzag", "CERT", "CERT", "--depth", "2"],
+        ["zigzag", "CERT", "CERT", "--depth", "2", "--budget", "0"],
+        ["zigzag", "NO_SEED", "UHF3", "--depth", "1"],
+        ["zigzag", "CERT", "DIAGRAM"],
+        ["verify-zigzag", "WITNESS", "CERT", "CERT"],
+        ["verify-zigzag", "BAD_WITNESS", "CERT", "CERT"],
+        ["verify-zigzag", "WITNESS", "CERT", "NESTED"],
+        ["diagram-to-af", "BAD_UNITAL"],
+        ["gen", "car", "--depth", "-1"],
+        # outputs without a status
+        ["gen", "car", "--depth", "3"],
+        ["gen", "trace", "--depth", "3", "--table", "2,-"],
+        ["path-count", "DIAGRAM", "--from", "0,0", "--to", "3,0"],
+        ["telescope", "DIAGRAM", "--stages", "0,3"],
+        ["k0", "ALGEBRA"],
+        ["diagram-to-af", "DIAGRAM"],
+        ["af-to-cert", "SEQ"],
+        ["af-to-diagram", "SEQ"],
+        ["cert-to-af", "CERT"],
+        ["unitalize", "CERT"],
+        ["moduli"],
+    ]
+    seen = {}
+    for argv in cases:
+        code, out = run(capsys, [str(tmp_path / a) if a in files else a for a in argv])
+        doc = json.loads(out)
+        status = doc.get("status") if isinstance(doc, dict) else None
+        assert code == (0 if status is None else exit_of[status]), (argv, out)
+        seen.setdefault(argv[0], set()).add(status)
+    assert seen == {
+        "validate": {"ok", "refuted", "input-error"},
+        "simple": {"ok", "unknown"},
+        "supernatural": {None, "unknown"},
+        "shen": {"ok", "unknown", "input-error"},
+        "equiv": {"ok", "unknown"},
+        "zigzag": {"ok", "unknown", "input-error"},
+        "verify-zigzag": {"ok", "refuted", "input-error"},
+        "diagram-to-af": {"refuted", None},
+        "gen": {"input-error", None},
+        "path-count": {None},
+        "telescope": {None},
+        "k0": {None},
+        "af-to-cert": {None},
+        "af-to-diagram": {None},
+        "cert-to-af": {None},
+        "unitalize": {None},
+        "moduli": {None},
+    }
+    # perturb-demo's report has no status: it exits 1 exactly when it does not pass
+    code, out = run(capsys, ["perturb-demo"])
+    assert json.loads(out)["pass"] is True and code == 0
+    demo = perturb.glimm_demo
+    monkeypatch.setattr(perturb, "glimm_demo", lambda *args: {**demo(*args), "pass": False})
+    code, out = run(capsys, ["perturb-demo"])
+    assert json.loads(out)["pass"] is False and code == 1
+
+
+def test_readme_lists_the_parser_commands():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```", 2)[1]
+    listed = []
+    for line in block.strip().splitlines():
+        tokens = line.split()
+        listed.append(tokens[0])
+        while len(tokens) > 2 and tokens[1] == "/":  # af-to-diagram / diagram-to-af / ... FILE
+            tokens = tokens[2:]
+            listed.append(tokens[0])
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(listed) == sorted(sub.choices)
+
+
 def test_import_does_not_load_numpy():
     # every CLI process and benchmark worker pays for these imports at start-up
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(afkit.__file__)))
@@ -488,6 +640,24 @@ def test_bench_tracer_targets_resolve():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
                 assert hasattr(modules[node.value.id], node.attr), (name, node.value.id, node.attr)
+
+
+def test_traced_conversion_sees_the_layer_calls(tmp_path):
+    # the conversion table must look its functions up after the tracer has wrapped them
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    seq = write(tmp_path, "seq.json", jsonio.sequence_to_obj(bratteli.af_sequence_of_diagram(bratteli.gen_car(6))))
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(afkit.__file__)))
+    runner = os.path.join(root, "bench", "cli_runner.py")
+    subprocess.run([sys.executable, runner, str(trace), "af-to-cert", seq], capture_output=True, check=True, env=env)
+    assert json.loads(trace.read_text())["calls"] == {
+        "jsonio.decode": 32,
+        "findim.AlgebraHom": 6,
+        "ordgrp.mat_vec": 6,
+        "ordgrp.apply": 6,
+        "findim.af_sequence_violation": 1,
+        "jsonio.encode": 8,
+    }
 
 
 def _pipe(argv, text: str) -> tuple:
