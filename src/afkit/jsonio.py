@@ -130,9 +130,10 @@ def hom_from_obj(obj, path: str = "hom") -> AlgebraHom:
     source = algebra_from_obj(o.get("source"), f"{path}.source")
     target = algebra_from_obj(o.get("target"), f"{path}.target")
     mult = matrix_from_obj(o.get("mult"), f"{path}.mult")
-    if (mult.rows, mult.cols) == (len(target), len(source)):  # else AlgebraHom names the shape
-        given = (o["source"]["summands"], o["target"]["summands"])
-        mult = sorted_tower(given, (mult,)).bonds[0]  # the algebras sort their blocks the same way
+    given = (tuple(o["source"]["summands"]), tuple(o["target"]["summands"]))
+    # the algebras keep their blocks in ascending order (AlgebraHom names a wrong shape)
+    if given != (source.summands, target.summands) and (mult.rows, mult.cols) == (len(target), len(source)):
+        mult = sorted_tower(given, (mult,)).bonds[0]
     try:
         return AlgebraHom(source, target, mult)
     except ValueError as exc:
