@@ -22,6 +22,10 @@ EXIT = {"ok": 0, "refuted": 1, "unknown": 2, "input-error": 3}
 
 DEFAULT_DEPTH = 8
 DEFAULT_BUDGET = 100_000
+# DeltaGlimm's cost grows super-linearly in both; the worst in-bound moduli call
+# takes a few seconds, and the square partitions of n number 1116 at n = 100.
+MODULI_MAX_N = 100
+MODULI_MAX_K = 100
 
 
 class _InputError(ValueError):
@@ -244,6 +248,8 @@ def cmd_moduli(args) -> int:
     n, k = args.n, args.k
     if not 0 < eps < 1:
         raise _InputError(f"--eps must lie in (0,1), got {eps}")
+    if n > MODULI_MAX_N or k > MODULI_MAX_K:
+        raise _InputError(f"moduli needs --n <= {MODULI_MAX_N} and --k <= {MODULI_MAX_K}, got {n} and {k}")
     out = {
         "eps": jsonio.rational_to_str(eps),
         "n": n,

@@ -45,9 +45,12 @@ def delta0(eps, n: int) -> Fraction:
     e = _as_eps(eps)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return min(e / 2, Fraction(1, 2))
-    return min(e / (4 * n), delta0(e / (12 * n * n), n - 1), Fraction(1))
+    # delta0(e, m) = min(e / 4m, delta0(e / 12m^2, m - 1), 1), unrolled from m = n.
+    best = Fraction(1)
+    for m in range(n, 1, -1):
+        best = min(best, e / (4 * m))
+        e = e / (12 * m * m)
+    return min(best, e / 2, Fraction(1, 2))
 
 
 def delta1(eps, n: int) -> Fraction:
@@ -57,8 +60,12 @@ def delta1(eps, n: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Fraction(1, 2)
-    m = n - 1
-    return min(Fraction(1, 3), e / (48 * m), delta1(e / (48 * m), m))
+    # delta1(e, m + 1) = min(1/3, e / 48m, delta1(e / 48m, m)), unrolled from m = n - 1.
+    best = Fraction(1, 3)
+    for m in range(n - 1, 0, -1):
+        e = e / (48 * m)
+        best = min(best, e)
+    return best
 
 
 def delta2(eps, n: int) -> Fraction:
@@ -112,21 +119,20 @@ def square_partitions(n: int) -> tuple:
     """All multisets of positive integers whose squares sum to n, as ascending tuples."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-
-    def rec(remaining: int, minimum: int, acc: list):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        j = minimum
-        while j * j <= remaining:
-            acc.append(j)
-            rec(remaining - j * j, j, acc)
-            acc.pop()
+    # Depth-first over nondecreasing parts: j is the next part to try after parts.
+    out, parts, left, j = [], [], n, 1
+    while True:
+        if j * j <= left:
+            parts.append(j)
+            left -= j * j
+            if left == 0:
+                out.append(tuple(parts))
+        elif parts:
+            j = parts.pop()
+            left += j * j
             j += 1
-
-    rec(n, 1, [])
-    return tuple(out)
+        else:
+            return tuple(out)
 
 
 def DeltaGlimm(n: int, k: int) -> int:
@@ -155,6 +161,19 @@ def operator_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def _gate_norm(x: np.ndarray, tol: float) -> float:
+    """operator_norm(x), or 0.0 when ||x||_F <= tol / 2 already puts it below tol.
+
+    For gates that compare with tol only to raise: ||x||_2 <= ||x||_F, and the
+    half-tolerance margin is far wider than rounding, so the gate raises exactly
+    when it would on the SVD value, which it returns whenever it can raise. The
+    sum of squares underflows near 1e-162, so tiny tolerances always take the SVD.
+    """
+    if tol > 1e-100 and np.linalg.norm(x) <= tol / 2:
+        return 0.0
+    return operator_norm(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,24 +277,38 @@ def defect(system: MatrixUnitSystem) -> float:
     e_{i,j}^* = e_{j,i}, and, for systems flagged unital, the residual of the
     diagonal sum against the identity.
     """
-    flat = [
-        (s, i, j, system.units[s][i][j])
-        for s, n in enumerate(system.sizes)
-        for i in range(n)
-        for j in range(n)
-    ]
-    if not flat:
+    if not system.sizes:
         return 0.0
+    stack = np.stack([e for block in system.units for row in block for e in row])
     d = system.dim
+
+    def scan(residuals, worst):
+        # ||X||_2 <= ||X||_F: once the Frobenius norms stop exceeding the worst
+        # operator norm seen, no later residual of the batch can raise it. The
+        # sum of squares underflows near 1e-162, so below 1e-100 only exact zeros
+        # are skipped.
+        fro = np.linalg.norm(residuals, axis=(1, 2))
+        for a in np.argsort(fro)[::-1]:
+            if fro[a] <= worst:
+                if worst > 1e-100:
+                    break
+                if not residuals[a].any():
+                    continue
+            worst = max(worst, operator_norm(residuals[a]))
+        return worst
+
     worst = 0.0
-    for s, i, j, e in flat:
-        worst = max(worst, operator_norm(e.conj().T - system.units[s][j][i]))
-    for s, i, j, e in flat:
-        for s2, i2, j2, f in flat:
-            prod = e @ f
-            if s == s2 and j == i2:
-                prod = prod - system.units[s][i][j2]
-            worst = max(worst, operator_norm(prod))
+    start = 0  # block s fills stack[start:start + n_s^2], row by row
+    for n in system.sizes:
+        block = stack[start:start + n * n].reshape(n, n, d, d)
+        worst = scan((block.conj().swapaxes(2, 3) - block.swapaxes(0, 1)).reshape(n * n, d, d), worst)
+        for i in range(n):
+            for j in range(n):
+                # e^s_{i,j} e^s_{j,j2} = e^s_{i,j2}; every other product vanishes.
+                prods = block[i, j] @ stack
+                prods[start + j * n:start + j * n + n] -= block[i]
+                worst = scan(prods, worst)
+        start += n * n
     if system.unital:
         total = sum(system.units[s][i][i] for s, n in enumerate(system.sizes) for i in range(n))
         worst = max(worst, operator_norm(total - np.eye(d)))
@@ -305,13 +338,13 @@ def _polar_unitary(z: np.ndarray) -> np.ndarray:
 
 def _check_projections(mats: Sequence[np.ndarray], tag: str, tol: float = 1e-9) -> None:
     for idx, p in enumerate(mats):
-        if operator_norm(p - p.conj().T) > tol:
+        if _gate_norm(p - p.conj().T, tol) > tol:
             raise PerturbationPreconditionError(f"{tag}[{idx}] is not self-adjoint within {tol}")
-        if operator_norm(p @ p - p) > tol:
+        if _gate_norm(p @ p - p, tol) > tol:
             raise PerturbationPreconditionError(f"{tag}[{idx}] is not idempotent within {tol}")
     for a in range(len(mats)):
         for b in range(len(mats)):
-            if a != b and operator_norm(mats[a] @ mats[b]) > tol:
+            if a != b and _gate_norm(mats[a] @ mats[b], tol) > tol:
                 raise PerturbationPreconditionError(
                     f"{tag}[{a}] and {tag}[{b}] are not orthogonal within {tol}"
                 )
@@ -334,10 +367,11 @@ def exchange_unitary(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray], k: int)
     d = ps[0].shape[0]
     _check_projections(ps, "p")
     _check_projections(qs, "q")
-    if operator_norm(sum(ps) - np.eye(d)) > 1e-9:
+    if _gate_norm(sum(ps) - np.eye(d), 1e-9) > 1e-9:
         raise PerturbationPreconditionError("sum of p_j is not the identity within 1e-9")
     threshold = 2.0 ** -Delta2(n, k)
-    gap = max(operator_norm(p - q) for p, q in zip(ps, qs))
+    # A pair cut to 0.0 is below threshold / 2, so it is not the max when this raises.
+    gap = max(_gate_norm(p - q, threshold) for p, q in zip(ps, qs))
     if gap >= threshold:
         raise PerturbationPreconditionError(
             f"max ||p_j - q_j|| = {gap:.3e} is not below 2^-Delta2 = {threshold:.3e}"
@@ -366,7 +400,7 @@ def glimm_unitary(
     v = np.asarray(v, dtype=complex)
     for s, n in enumerate(g.sizes):
         for i in range(n):
-            err = operator_norm(v.conj().T @ g.unit(s, i, i) @ v - h.unit(s, i, i))
+            err = _gate_norm(v.conj().T @ g.unit(s, i, i) @ v - h.unit(s, i, i), 1e-8)
             if err > 1e-8:
                 raise PerturbationPreconditionError(
                     f"v does not carry diagonal unit ({s},{i}) within 1e-8 (residual {err:.3e})"

@@ -3,7 +3,8 @@
 Each one is the direct, unoptimized form of a library routine: every
 label-preserving bijection enumerated and tested in turn, every row of a
 zigzag stage map found by a plain recursive odometer, every stage pushed
-from the element's own stage, exact path-count products for reachability.
+from the element's own stage, exact path-count products for reachability,
+one SVD per matrix-unit residual, square partitions by plain recursion.
 Tests compare the library against them output for output, so a faster
 library may change how it works but never what it returns.
 """
@@ -11,6 +12,8 @@ library may change how it works but never what it returns.
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from afkit.bratteli import (
     EquivalenceWitness,
@@ -20,6 +23,7 @@ from afkit.bratteli import (
 )
 from afkit.dimgroup import Verdict3, push
 from afkit.ordgrp import PosMatrix, compose
+from afkit.perturb import MatrixUnitSystem, operator_norm
 
 
 def row_solutions(
@@ -173,3 +177,53 @@ def simplicity_window(diagram):
         if not all(ok):
             return SimplicityVerdict(witnessed=False, depth=T, blocked=(n, ok.index(False)))
     return SimplicityVerdict(witnessed=True, depth=T)
+
+
+def defect(system: MatrixUnitSystem) -> float:
+    """Largest residual of the matrix-unit relations, adjoints included.
+
+    Covers products within and across blocks, the self-adjointness pairing
+    e_{i,j}^* = e_{j,i}, and, for systems flagged unital, the residual of the
+    diagonal sum against the identity.
+    """
+    flat = [
+        (s, i, j, system.units[s][i][j])
+        for s, n in enumerate(system.sizes)
+        for i in range(n)
+        for j in range(n)
+    ]
+    if not flat:
+        return 0.0
+    d = system.dim
+    worst = 0.0
+    for s, i, j, e in flat:
+        worst = max(worst, operator_norm(e.conj().T - system.units[s][j][i]))
+    for s, i, j, e in flat:
+        for s2, i2, j2, f in flat:
+            prod = e @ f
+            if s == s2 and j == i2:
+                prod = prod - system.units[s][i][j2]
+            worst = max(worst, operator_norm(prod))
+    if system.unital:
+        total = sum(system.units[s][i][i] for s, n in enumerate(system.sizes) for i in range(n))
+        worst = max(worst, operator_norm(total - np.eye(d)))
+    return worst
+
+
+def square_partitions(n: int) -> tuple:
+    """All multisets of positive integers whose squares sum to n, as ascending tuples."""
+    out = []
+
+    def rec(remaining: int, minimum: int, acc: list):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        j = minimum
+        while j * j <= remaining:
+            acc.append(j)
+            rec(remaining - j * j, j, acc)
+            acc.pop()
+            j += 1
+
+    rec(n, 1, [])
+    return tuple(out)

@@ -409,6 +409,8 @@ EMPTY_WITNESS = '{"alpha":[],"beta":[],"mStages":[],"nStages":[]}'
         (["path-count", "--from", "0,0", "--to", "9,0"], CAR3, "out of range"),
         (["moduli", "--n", "0"], "", "n must be >= 1"),
         (["moduli", "--k", "-1"], "", "k must be >= 0"),
+        (["moduli", "--n", "1100"], "", "--n <= 100"),
+        (["moduli", "--n", "3", "--k", "1200"], "", "--k <= 100"),
         (["gen", "car", "--depth", "-1"], "", "depth must be >= 0"),
         (["perturb-demo", "--n", "3", "--d", "2"], "", "d >= n"),
         (["zigzag", "CERT", "CERT", "--depth", "x"], "", "invalid int value"),
@@ -430,6 +432,8 @@ EMPTY_WITNESS = '{"alpha":[],"beta":[],"mStages":[],"nStages":[]}'
         "path-count",
         "moduli-n",
         "moduli-k",
+        "moduli-n-past-bound",
+        "moduli-k-past-bound",
         "gen",
         "perturb-demo",
         "zigzag-depth-not-int",

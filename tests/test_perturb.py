@@ -1,11 +1,15 @@
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
+from afkit import perturb
 from afkit.findim import AlgebraHom, FinDimAlgebra
 from afkit.ordgrp import PosMatrix
 from afkit.perturb import (
@@ -14,6 +18,7 @@ from afkit.perturb import (
     Delta3,
     Delta4,
     DeltaGlimm,
+    MatrixUnitSystem,
     PerturbationPreconditionError,
     _least_power_below,
     canonical_matrix_units,
@@ -115,6 +120,20 @@ class TestModuli:
                 assert Delta4(n, k) >= 1 + inner
                 assert Delta4(n, k) >= max(Delta1(m, inner + 2) for m in range(k + 1))
 
+    def test_deep_moduli_need_no_recursion(self):
+        for fn in (delta0, delta1):
+            value = fn(Fraction(1, 2), 5000)
+            assert 0 < value < 1
+
+    def test_loops_match_the_recursive_oracles(self):
+        for n in range(1, 61):
+            assert delta0(Fraction(1, 2), n) == oracle_delta0(Fraction(1, 2), n)
+            assert delta1(Fraction(1, 3), n) == oracle_delta1(Fraction(1, 3), n)
+
+    def test_square_partitions_match_the_recursion(self):
+        for n in range(1, 61):
+            assert square_partitions(n) == reference.square_partitions(n)
+
     def test_square_partitions(self):
         assert square_partitions(2) == ((1, 1),)
         assert square_partitions(4) == ((1, 1, 1, 1), (2,))
@@ -205,16 +224,68 @@ class TestMatrixUnits:
         sys2 = canonical_matrix_units(FinDimAlgebra((2,)))
         units = [[[np.array(sys2.unit(0, i, j)) for j in range(2)] for i in range(2)]]
         units[0][0][1] = units[0][0][1] + eta * np.eye(2)
-        from afkit.perturb import MatrixUnitSystem
-
         bumped = MatrixUnitSystem((2,), (tuple(tuple(r) for r in units[0]),), unital=True)
         d = defect(bumped)
         assert eta / 2 <= d <= 3 * eta
 
     def test_empty_type(self):
-        from afkit.perturb import MatrixUnitSystem
-
         assert defect(MatrixUnitSystem((), (), unital=False)) == 0.0
+
+    def test_residuals_below_frobenius_underflow_are_measured(self):
+        # |x|^2 = 4e-400 rounds to zero, so ||e* - e||_F reads 0 for e = 1e-200 i
+        tiny = MatrixUnitSystem((1,), ((((1e-200j * np.ones((1, 1))),),),), unital=False)
+        assert defect(tiny) == reference.defect(tiny) == 2e-200
+
+    def test_working_set_is_one_row_of_products(self):
+        # the benchmark's shape, N = 116 units of M_18; every N^2 residual at once
+        # would trace past 70 MiB, one row of N products about 2.4 MiB
+        g = canonical_matrix_units(FinDimAlgebra((4, 6, 8)))
+        system = conjugate_system(g, haar_unitary(g.dim, np.random.default_rng(0)))
+        tracemalloc.start()
+        try:
+            defect(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@st.composite
+def unit_systems(draw):
+    """A canonical or embedded system in M_d, d <= 8, maybe bumped, Haar-conjugated."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda z: sum(z) <= 8))
+        g = canonical_matrix_units(FinDimAlgebra(tuple(sizes)))
+    else:
+        source = sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        mult = st.lists(st.integers(0, 2), min_size=len(source), max_size=len(source))
+        rows = draw(st.lists(mult, min_size=1, max_size=2))
+        # each target block holds its row's load plus at most one slack dimension
+        loads = [sum(m * n for m, n in zip(row, source)) for row in rows]
+        blocks = sorted((load + draw(st.integers(0, 1)), row) for load, row in zip(loads, rows))
+        assume(blocks[0][0] > 0 and sum(size for size, _ in blocks) <= 8)
+        hom = AlgebraHom(
+            FinDimAlgebra(tuple(source)),
+            FinDimAlgebra(tuple(size for size, _ in blocks)),
+            PosMatrix(tuple(tuple(row) for _, row in blocks)),
+        )
+        g = embedded_matrix_units(hom)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    units = [[list(row) for row in block] for block in g.units]
+    if draw(st.booleans()):
+        s = draw(st.integers(0, len(g.sizes) - 1))
+        i, j = draw(st.integers(0, g.sizes[s] - 1)), draw(st.integers(0, g.sizes[s] - 1))
+        z = rng.standard_normal((g.dim, g.dim)) + 1j * rng.standard_normal((g.dim, g.dim))
+        units[s][i][j] = units[s][i][j] + draw(st.floats(0, 1e-3)) * z / operator_norm(z)
+    frozen = tuple(tuple(tuple(row) for row in block) for block in units)
+    bumped = MatrixUnitSystem(g.sizes, frozen, unital=draw(st.booleans()))
+    return conjugate_system(bumped, haar_unitary(g.dim, rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_systems())
+def test_defect_matches_the_pairwise_loop(system):
+    assert math.isclose(defect(system), reference.defect(system), rel_tol=1e-12, abs_tol=1e-300)
 
 
 class TestExchange:
@@ -315,3 +386,77 @@ class TestGlimm:
         with pytest.raises(ValueError, match="k must be >= 0"):
             glimm_demo((2,), -1, seed=0)
 
+
+
+class TestRaiseOnlyGates:
+    """Each gate raises with its message on a violation 2 * tol past its bound."""
+
+    P = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    PAIR = [P, np.eye(4) - P]
+
+    def raises(self, message, call, *args):
+        with pytest.raises(PerturbationPreconditionError) as err:
+            call(*args)
+        assert str(err.value) == message
+
+    def rotated_pair(self, t):
+        rot = np.eye(4, dtype=complex)
+        rot[[0, 0, 2, 2], [0, 2, 0, 2]] = [np.cos(t), -np.sin(t), np.sin(t), np.cos(t)]
+        return [rot @ p @ rot.T for p in self.PAIR]
+
+    def test_not_self_adjoint(self):
+        p = self.P.copy()
+        p[0, 2] = 2e-9  # p - p* has norm 2e-9; p itself stays idempotent
+        ps = [p, self.PAIR[1]]
+        self.raises("p[0] is not self-adjoint within 1e-09", exchange_unitary, ps, self.PAIR, 4)
+
+    def test_not_idempotent(self):
+        qs = [self.P, (1 + 2e-9) * self.PAIR[1]]
+        self.raises("q[1] is not idempotent within 1e-09", exchange_unitary, self.PAIR, qs, 4)
+
+    def test_not_orthogonal(self):
+        v = np.array([2e-9, 0.0, 1.0, 0.0]) / np.sqrt(1 + 4e-18)
+        ps = [self.P, np.outer(v, v).astype(complex) + np.diag([0.0, 0.0, 0.0, 1.0])]
+        self.raises("p[0] and p[1] are not orthogonal within 1e-09", exchange_unitary, ps, ps, 4)
+
+    def test_sum_not_identity(self):
+        # unit vectors with pairwise inner products delta: each pair passes the
+        # orthogonality gate, but sum(p) - 1 = delta (J - 1) has norm 3 delta = 2e-9
+        delta = 2e-9 / 3
+        w, vecs = np.linalg.eigh(np.eye(4) + delta * (np.ones((4, 4)) - np.eye(4)))
+        root = (vecs * np.sqrt(w)) @ vecs.T
+        ps = [np.outer(root[:, j], root[:, j]).astype(complex) for j in range(4)]
+        self.raises("sum of p_j is not the identity within 1e-9", exchange_unitary, ps, ps, 4)
+
+    def gap_message(self, qs, k):
+        gap = max(operator_norm(p - q) for p, q in zip(self.PAIR, qs))
+        threshold = 2.0 ** -Delta2(2, k)
+        assert gap >= threshold
+        return f"max ||p_j - q_j|| = {gap:.3e} is not below 2^-Delta2 = {threshold:.3e}"
+
+    def test_gap_not_below_threshold(self):
+        qs = self.rotated_pair(np.arcsin(2 * 2.0 ** -Delta2(2, 4)))
+        self.raises(self.gap_message(qs, 4), exchange_unitary, self.PAIR, qs, 4)
+
+    def test_gap_below_frobenius_underflow(self):
+        # threshold 2^-606: a gap of 1e-170 squares to zero in the Frobenius sum
+        qs = self.rotated_pair(1e-170)
+        self.raises(self.gap_message(qs, 602), exchange_unitary, self.PAIR, qs, 602)
+
+    def test_glimm_diagonal_residual(self):
+        g = canonical_matrix_units(FinDimAlgebra((2,)))
+        t = np.arcsin(2e-8)
+        h = conjugate_system(g, np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], dtype=complex))
+        err = operator_norm(g.unit(0, 0, 0) - h.unit(0, 0, 0))
+        assert err > 1e-8
+        message = f"v does not carry diagonal unit (0,0) within 1e-8 (residual {err:.3e})"
+        self.raises(message, glimm_unitary, g, h, np.eye(2))
+
+    def test_svd_decides_where_frobenius_cannot(self, monkeypatch):
+        # 0.9 tol * I_128: the Frobenius norm 1.02e-8 exceeds tol, the operator norm does not
+        p = (1 + 0.9e-9) * np.eye(128, dtype=complex)
+        seen = []
+        monkeypatch.setattr(perturb, "operator_norm", lambda m: seen.append(1) or operator_norm(m))
+        v = exchange_unitary([p], [p], 4)
+        assert len(seen) == 3  # p's and q's idempotence, then the sum
+        assert operator_norm(v - np.eye(128)) <= 1e-8
