@@ -22,8 +22,9 @@ EXIT = {"ok": 0, "refuted": 1, "unknown": 2, "input-error": 3}
 
 DEFAULT_DEPTH = 8
 DEFAULT_BUDGET = 100_000
-# DeltaGlimm's cost grows super-linearly in both; the worst in-bound moduli call
-# takes a few seconds, and the square partitions of n number 1116 at n = 100.
+# DeltaGlimm's cost grows super-linearly in both (the square partitions of n
+# number 1116 at n = 100), and delta0 recurses about n + k levels deep, so the
+# bounds keep every moduli call to seconds and far inside the recursion limit.
 MODULI_MAX_N = 100
 MODULI_MAX_K = 100
 

@@ -45,12 +45,9 @@ def delta0(eps, n: int) -> Fraction:
     e = _as_eps(eps)
     if n < 1:
         raise ValueError("n must be >= 1")
-    # delta0(e, m) = min(e / 4m, delta0(e / 12m^2, m - 1), 1), unrolled from m = n.
-    best = Fraction(1)
-    for m in range(n, 1, -1):
-        best = min(best, e / (4 * m))
-        e = e / (12 * m * m)
-    return min(best, e / 2, Fraction(1, 2))
+    if n == 1:
+        return min(e / 2, Fraction(1, 2))
+    return min(e / (4 * n), delta0(e / (12 * n * n), n - 1), Fraction(1))
 
 
 def delta1(eps, n: int) -> Fraction:
@@ -60,12 +57,8 @@ def delta1(eps, n: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Fraction(1, 2)
-    # delta1(e, m + 1) = min(1/3, e / 48m, delta1(e / 48m, m)), unrolled from m = n - 1.
-    best = Fraction(1, 3)
-    for m in range(n - 1, 0, -1):
-        e = e / (48 * m)
-        best = min(best, e)
-    return best
+    m = n - 1
+    return min(Fraction(1, 3), e / (48 * m), delta1(e / (48 * m), m))
 
 
 def delta2(eps, n: int) -> Fraction:
@@ -163,15 +156,20 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+# ||x||_2 <= ||x||_F lets a Frobenius norm stand in for the SVD only above this
+# floor: the unscaled sum of squares underflows near 1e-162.
+_FRO_FLOOR = 1e-100
+
+
 def _gate_norm(x: np.ndarray, tol: float) -> float:
     """operator_norm(x), or 0.0 when ||x||_F <= tol / 2 already puts it below tol.
 
-    For gates that compare with tol only to raise: ||x||_2 <= ||x||_F, and the
-    half-tolerance margin is far wider than rounding, so the gate raises exactly
-    when it would on the SVD value, which it returns whenever it can raise. The
-    sum of squares underflows near 1e-162, so tiny tolerances always take the SVD.
+    For gates that compare with tol only to raise: the half-tolerance margin is
+    far wider than rounding, so the gate raises exactly when it would on the SVD
+    value, which it returns whenever it can raise. Tolerances at or below
+    _FRO_FLOOR always take the SVD.
     """
-    if tol > 1e-100 and np.linalg.norm(x) <= tol / 2:
+    if tol > _FRO_FLOOR and np.linalg.norm(x) <= tol / 2:
         return 0.0
     return operator_norm(x)
 
@@ -283,14 +281,13 @@ def defect(system: MatrixUnitSystem) -> float:
     d = system.dim
 
     def scan(residuals, worst):
-        # ||X||_2 <= ||X||_F: once the Frobenius norms stop exceeding the worst
-        # operator norm seen, no later residual of the batch can raise it. The
-        # sum of squares underflows near 1e-162, so below 1e-100 only exact zeros
-        # are skipped.
+        # Once the Frobenius norms stop exceeding the worst operator norm seen,
+        # no later residual of the batch can raise it; at or below _FRO_FLOOR
+        # only exact zeros are skipped.
         fro = np.linalg.norm(residuals, axis=(1, 2))
         for a in np.argsort(fro)[::-1]:
             if fro[a] <= worst:
-                if worst > 1e-100:
+                if worst > _FRO_FLOOR:
                     break
                 if not residuals[a].any():
                     continue

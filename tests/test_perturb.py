@@ -120,16 +120,6 @@ class TestModuli:
                 assert Delta4(n, k) >= 1 + inner
                 assert Delta4(n, k) >= max(Delta1(m, inner + 2) for m in range(k + 1))
 
-    def test_deep_moduli_need_no_recursion(self):
-        for fn in (delta0, delta1):
-            value = fn(Fraction(1, 2), 5000)
-            assert 0 < value < 1
-
-    def test_loops_match_the_recursive_oracles(self):
-        for n in range(1, 61):
-            assert delta0(Fraction(1, 2), n) == oracle_delta0(Fraction(1, 2), n)
-            assert delta1(Fraction(1, 3), n) == oracle_delta1(Fraction(1, 3), n)
-
     def test_square_partitions_match_the_recursion(self):
         for n in range(1, 61):
             assert square_partitions(n) == reference.square_partitions(n)
